@@ -139,7 +139,8 @@ Tracer::layer(const std::string &name)
     if (const int id = find(name); id >= 0)
         return id;
     names_.push_back(name);
-    busyNs_.push_back(0.0);
+    busyNs_.push_back(0);
+    topNs_.push_back(0);
     calls_.push_back(0);
     return static_cast<int>(names_.size() - 1);
 }
@@ -173,9 +174,13 @@ Tracer::end()
     const Open open = stack_.back();
     stack_.pop_back();
     const std::uint64_t dur = steadyNs() - open.startNs;
-    busyNs_[static_cast<std::size_t>(open.layer)] +=
-        static_cast<double>(dur);
-    ++calls_[static_cast<std::size_t>(open.layer)];
+    const auto layer = static_cast<std::size_t>(open.layer);
+    busyNs_[layer] += dur;
+    ++calls_[layer];
+    if (stack_.empty()) {
+        topNs_[layer] += dur;
+        topLevelNs_ += dur;
+    }
     if (spans_.size() < maxKeptSpans)
         spans_.push_back({open.layer, open.startNs, dur,
                           static_cast<int>(stack_.size())});
@@ -185,7 +190,25 @@ double
 Tracer::busyMs(const std::string &name) const
 {
     const int id = find(name);
-    return id < 0 ? 0.0 : busyNs_[static_cast<std::size_t>(id)] / 1e6;
+    return id < 0 ? 0.0
+                  : static_cast<double>(busyNs_[static_cast<std::size_t>(id)]) /
+                        1e6;
+}
+
+bool
+Tracer::partitionsTopLevel(const std::vector<std::string> &names) const
+{
+    std::uint64_t covered = 0;
+    for (const auto &name : names) {
+        const int id = find(name);
+        if (id < 0)
+            continue;
+        const auto layer = static_cast<std::size_t>(id);
+        if (topNs_[layer] != busyNs_[layer])
+            return false;
+        covered += topNs_[layer];
+    }
+    return covered == topLevelNs_;
 }
 
 std::uint64_t

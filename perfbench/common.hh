@@ -106,6 +106,16 @@ class Tracer
     double busyMs(const std::string &name) const;
     std::uint64_t calls(const std::string &name) const;
 
+    /**
+     * True when the spans of @a names are exactly the top-level spans:
+     * every span of those layers opened with no span open, and no span
+     * of another layer did. A unit's layers + residual only add up to
+     * its wall time when this holds: a nested layer in the list would
+     * be counted twice, a missing top-level one hidden in the residual.
+     * Compared in whole nanoseconds, so the check is exact.
+     */
+    bool partitionsTopLevel(const std::vector<std::string> &names) const;
+
     /** Write up to @a cap spans as Chrome-trace JSON; false on I/O. */
     bool writeChromeTrace(const std::string &path, std::size_t cap) const;
 
@@ -126,8 +136,10 @@ class Tracer
     int find(const std::string &name) const;
 
     std::vector<std::string> names_;
-    std::vector<double> busyNs_;
+    std::vector<std::uint64_t> busyNs_;
+    std::vector<std::uint64_t> topNs_; ///< busy time of depth-0 spans
     std::vector<std::uint64_t> calls_;
+    std::uint64_t topLevelNs_ = 0;
     std::vector<Open> stack_;
     std::vector<Span> spans_;
 };

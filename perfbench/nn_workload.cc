@@ -337,6 +337,12 @@ runNnEval(const Args &args, Report &report)
     const NnPhase traced = runPhase(*inputs, pool, args.seconds * 0.35,
                                     &tracer, &layers, &probes, report);
     gateRepeats(traced, reference, report);
+    report.gate("named_layers_partition_spans.setpoint",
+                tracer.partitionsTopLevel(
+                    {"pmbus.setpoint", "accel.readback", "nn.forward"}),
+                0,
+                "the setpoint split's layers are exactly the top-level "
+                "spans");
     checkAgainstScalar(*inputs, pool, reference, true, report);
     if (!args.spansOut.empty())
         tracer.writeChromeTrace(args.spansOut, 50000);

@@ -151,11 +151,12 @@ struct SweepLayers
  * the same sequence tryRunCriticalSweep issues (setpoint, runs of
  * startRun + device count with watchdog recovery, power reading,
  * zero-jitter per-BRAM readback). Every timed count draws a fresh run
- * first, so no count is a memo hit. Returns the measured points.
+ * first, so no count is a memo hit. A null @a tracer runs the same
+ * calls without spans. Returns the measured points.
  */
 Expected<std::vector<harness::SweepPoint>>
 replaySweep(pmbus::Board &board, const harness::SweepOptions &options,
-            Tracer &tracer, const SweepLayers &layers)
+            Tracer *tracer, const SweepLayers &layers)
 {
     const auto &spec = board.spec();
     const int max_recoveries = options.recovery.maxRecoveriesPerRun;
@@ -164,7 +165,7 @@ replaySweep(pmbus::Board &board, const harness::SweepOptions &options,
 
     // Reconfigure and restore the level after DONE went low.
     const auto recover = [&](int mv) -> Expected<void> {
-        Scope span(&tracer, layers.watchdog);
+        Scope span(tracer, layers.watchdog);
         board.softReset();
         harness::fillPattern(board, options.pattern);
         if (auto set = board.trySetVccBramMv(mv); !set.ok())
@@ -179,7 +180,7 @@ replaySweep(pmbus::Board &board, const harness::SweepOptions &options,
     for (int mv = spec.calib.bramVminMv; mv >= spec.calib.bramVcrashMv;
          mv -= options.stepMv) {
         {
-            Scope span(&tracer, layers.setpoint);
+            Scope span(tracer, layers.setpoint);
             if (auto set = board.trySetVccBramMv(mv); !set.ok())
                 return set.error();
         }
@@ -191,7 +192,7 @@ replaySweep(pmbus::Board &board, const harness::SweepOptions &options,
             double jitter = 0.0;
             std::optional<Expected<std::uint64_t>> count;
             {
-                Scope span(&tracer, layers.count);
+                Scope span(tracer, layers.count);
                 board.startRun();
                 jitter = board.runJitterV();
                 count.emplace(board.tryCountDeviceFaults());
@@ -202,20 +203,20 @@ replaySweep(pmbus::Board &board, const harness::SweepOptions &options,
                     return count->error();
                 if (auto recovered = recover(mv); !recovered.ok())
                     return recovered.error();
-                Scope span(&tracer, layers.count);
+                Scope span(tracer, layers.count);
                 board.resumeRun(jitter);
                 count.emplace(board.tryCountDeviceFaults());
             }
             point.runCounts.push_back(static_cast<double>(count->value()));
         }
         {
-            Scope span(&tracer, layers.power);
+            Scope span(tracer, layers.power);
             point.bramPowerW = board.measureBramPowerW();
         }
         for (int recovery = 0;; ++recovery) {
             bool crashed = false;
             {
-                Scope span(&tracer, layers.collect);
+                Scope span(tracer, layers.collect);
                 board.startReferenceRun();
                 const std::uint32_t brams = board.device().bramCount();
                 point.perBramFaults.assign(brams, 0);
@@ -225,7 +226,7 @@ replaySweep(pmbus::Board &board, const harness::SweepOptions &options,
                     std::optional<Expected<std::vector<std::uint64_t>>>
                         observed;
                     {
-                        Scope read(&tracer, layers.readback);
+                        Scope read(tracer, layers.readback);
                         observed.emplace(board.tryReadBramPacked(b));
                     }
                     if (!observed->ok()) {
@@ -327,11 +328,15 @@ struct CampaignTimes
     std::vector<double> bramCampaignMs;
     std::string bramDigest, memDigest;     ///< of the first campaign
     harness::ResilienceReport resilience; ///< of one BRAM campaign
+    std::vector<double> setupS; ///< one synthesizeFleet after each unit
 };
 
 /**
  * Run campaign units until @a seconds have passed (at least three),
- * gating every result against the first one's digest.
+ * gating every result against the first one's digest. After each unit,
+ * outside its timing, the fleet is synthesized once more: the set-up
+ * samples then span the whole run, as the units do, so a short slow or
+ * fast patch of the host moves their median no more than the units'.
  */
 CampaignTimes
 runCampaigns(ThreadPool &pool, const harness::Campaign &bram,
@@ -363,6 +368,10 @@ runCampaigns(ThreadPool &pool, const harness::Campaign &bram,
         times.bramJobs += bram_jobs;
         times.memJobs += mem_jobs;
         report.attempt(bram_jobs + mem_jobs);
+
+        const auto setup_start = Clock::now();
+        synthesizeFleet();
+        times.setupS.push_back(msSince(setup_start) / 1e3);
 
         if (!bram_result.ok()) {
             report.gate("bram_campaign_ok", false, bram_jobs,
@@ -430,6 +439,7 @@ traceSweeps(const Args &args, const harness::Campaign &bram,
 
     std::vector<double> driver_ms(plan.jobs.size(), 0.0);
     std::vector<double> replay_ms(plan.jobs.size(), 0.0);
+    std::vector<double> bare_ms(plan.jobs.size(), 0.0);
     double quiet_ms = 0.0;
     std::uint64_t mismatched = 0;
     std::uint64_t passes = 0;
@@ -446,12 +456,20 @@ traceSweeps(const Args &args, const harness::Campaign &bram,
 
             auto replay_board = jobBoard(job);
             t0 = Clock::now();
-            auto replay = replaySweep(*replay_board, options, tracer, layers);
+            auto replay = replaySweep(*replay_board, options, &tracer, layers);
             replay_ms[j] += msSince(t0);
 
-            report.attempt(2);
-            if (!driver.ok() || !replay.ok() ||
-                !samePoints(replay.value(), driver.value()))
+            // The same replay without spans: the baseline of the
+            // tracing overhead.
+            auto bare_board = jobBoard(job);
+            t0 = Clock::now();
+            auto bare = replaySweep(*bare_board, options, nullptr, layers);
+            bare_ms[j] += msSince(t0);
+
+            report.attempt(3);
+            if (!driver.ok() || !replay.ok() || !bare.ok() ||
+                !samePoints(replay.value(), driver.value()) ||
+                !samePoints(bare.value(), driver.value()))
                 ++mismatched;
 
             if (noisy) {
@@ -470,19 +488,27 @@ traceSweeps(const Args &args, const harness::Campaign &bram,
         ++passes;
     } while (msSince(start) < seconds * 1e3);
     report.gate("replay_matches_driver", mismatched == 0, mismatched,
-                "traced replay per-run counts and per-BRAM maps equal "
-                "tryRunCriticalSweep's on every job shape");
+                "traced and untraced replay per-run counts and per-BRAM "
+                "maps equal tryRunCriticalSweep's on every job shape");
+    report.gate("named_layers_partition_spans.sweep",
+                tracer.partitionsTopLevel(
+                    {"pmbus.setpoint", "vmodel.device_count", "power.measure",
+                     "harness.map_collect", "harness.watchdog"}),
+                0,
+                "the sweep split's layers are exactly the replay's "
+                "top-level spans");
     if (!args.spansOut.empty())
         tracer.writeChromeTrace(args.spansOut, 50000);
 
     const double jobs = static_cast<double>(plan.jobs.size() * passes);
-    double driver_total = 0.0, replay_total = 0.0;
-    std::vector<double> driver_per_job, replay_per_job;
+    double driver_total = 0.0, replay_total = 0.0, bare_total = 0.0;
+    std::vector<double> replay_per_job, bare_per_job;
     for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
         driver_total += driver_ms[j];
         replay_total += replay_ms[j];
-        driver_per_job.push_back(driver_ms[j] / passes);
+        bare_total += bare_ms[j];
         replay_per_job.push_back(replay_ms[j] / passes);
+        bare_per_job.push_back(bare_ms[j] / passes);
     }
     const auto per_job = [&](const char *layer) {
         return tracer.busyMs(layer) / jobs;
@@ -496,8 +522,9 @@ traceSweeps(const Args &args, const harness::Campaign &bram,
                          per_job("power.measure") +
                          per_job("harness.map_collect") +
                          per_job("harness.watchdog");
-    // The sweep driver's self time is the unit's residual; it is kept
-    // under both names so every unit has a *.residual_ms row.
+    // The replay's self time outside the named layers is the unit's
+    // residual; it is kept under both names so every unit has a
+    // *.residual_ms row. harness.sweep_ms is the driver's own time.
     report.layer("sweep.wall_ms", replay_total / jobs);
     report.layer("sweep.residual_ms", replay_total / jobs - named);
     report.layer("harness.sweep_self_ms", replay_total / jobs - named);
@@ -532,9 +559,9 @@ traceSweeps(const Args &args, const harness::Campaign &bram,
                       percentile(untraced.bramCampaignMs, 0.5)));
 
     EndToEnd untraced_jobs, traced_jobs;
-    untraced_jobs.throughputPerS = jobs / (driver_total / 1e3);
-    untraced_jobs.latencyP50Ms = percentile(driver_per_job, 0.5);
-    untraced_jobs.latencyTailMs = percentile(driver_per_job, 0.9);
+    untraced_jobs.throughputPerS = jobs / (bare_total / 1e3);
+    untraced_jobs.latencyP50Ms = percentile(bare_per_job, 0.5);
+    untraced_jobs.latencyTailMs = percentile(bare_per_job, 0.9);
     traced_jobs.throughputPerS = jobs / (replay_total / 1e3);
     traced_jobs.latencyP50Ms = percentile(replay_per_job, 0.5);
     traced_jobs.latencyTailMs = percentile(replay_per_job, 0.9);
@@ -585,7 +612,6 @@ runSweep(const Args &args, Report &report, bool harsh)
     if (!harsh)
         mem = memCampaign();
 
-    const double setup_s = medianSetupSeconds(9, synthesizeFleet);
     ThreadPool pool(hostWorkers());
     // Warm-up: fills the shared chip-model cache and first-touch pages.
     (void)bram.run(pool);
@@ -612,7 +638,8 @@ runSweep(const Args &args, Report &report, bool harsh)
                     jsonNumber(times.memJobs / (times.memMs / 1e3)));
 
     if (!args.trace) {
-        reportEndToEnd(report, setup_s, campaignEndToEnd(times));
+        reportEndToEnd(report, median(times.setupS),
+                       campaignEndToEnd(times));
         return;
     }
     report.layer("harness.crash_recoveries",
