@@ -203,16 +203,22 @@ echo "== bit-twiddling under UBSan (UVOLT_SANITIZE=undefined) =="
 # The packed fault-domain layout lives on shifts, masks, and narrowing
 # casts (bram.cc, fault_domain.hh, chip_fault_model.cc, the mask
 # ladders of the mem:: backends, the analyzer's ctz walk). A UBSan-only
-# build is fast enough to run the four suites that exercise every one
+# build is fast enough to run the six suites that exercise every one
 # of those paths on each CI pass — ASan's memory instrumentation isn't
-# needed here and would double the leg.
+# needed here and would double the leg. pmbus_test drives the serial
+# link's CRC fold kernel (unaligned intrinsic loads, lane shifts) at
+# every length and alignment; resilience_test drives the retry and
+# recovery paths that reach it under noise.
 cmake -B build-ubsan -S . -DUVOLT_SANITIZE=undefined
 cmake --build build-ubsan -j "$jobs" \
-    --target fpga_test vmodel_test harness_test membackend_test
+    --target fpga_test vmodel_test harness_test membackend_test \
+    pmbus_test resilience_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/fpga_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/vmodel_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/harness_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/membackend_test
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/pmbus_test
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/resilience_test
 
 echo "== tier 1: thread-sanitized build (TSan) =="
 # Only the suites that actually spin threads: the fleet engine, the

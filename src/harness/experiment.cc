@@ -105,7 +105,8 @@ struct Watchdog
         if (report)
             ++report->crashRecoveries;
         sweepMetrics().crashRecoveries.increment();
-        board.softReset();
+        if (auto reset = board.trySoftReset(); !reset.ok())
+            return reset;
         fillPattern(board, pattern);
         const auto set = rail == fpga::RailId::VccBram
             ? board.trySetVccBramMv(levelMv)
@@ -204,7 +205,8 @@ tryDiscoverRegions(pmbus::Board &board, fpga::RailId rail,
     if (rail == fpga::RailId::VccAux)
         fatal("discoverRegions: VCCAUX is not underscaled in this study");
 
-    board.softReset();
+    if (auto reset = board.trySoftReset(); !reset.ok())
+        return reset.error();
     if (rail == fpga::RailId::VccBram)
         fillPattern(board, PatternSpec::allOnes());
 
@@ -252,7 +254,8 @@ tryDiscoverRegions(pmbus::Board &board, fpga::RailId rail,
     result.vminMv =
         first_faulty_mv == 0 ? result.vcrashMv : first_faulty_mv + step;
 
-    board.softReset();
+    if (auto reset = board.trySoftReset(); !reset.ok())
+        return reset.error();
     return result;
 }
 
@@ -328,10 +331,8 @@ collectReferenceMaps(SweepPoint &point, const Watchdog &watchdog)
         board.startReferenceRun();
         point.perBramFaults.assign(board.device().bramCount(), 0);
         FaultSummary summary;
-        std::vector<FaultObservation> faults;
         bool crashed = false;
         for (std::uint32_t b = 0; b < board.device().bramCount(); ++b) {
-            faults.clear();
             auto observed = board.tryReadBramPacked(b);
             if (!observed.ok()) {
                 if (observed.code() != Errc::crashDetected)
@@ -339,9 +340,9 @@ collectReferenceMaps(SweepPoint &point, const Watchdog &watchdog)
                 crashed = true;
                 break;
             }
-            diffBram(board.device().bram(b), observed.value(), b, faults,
-                     summary);
-            point.perBramFaults[b] = static_cast<int>(faults.size());
+            point.perBramFaults[b] = static_cast<int>(
+                tallyBram(board.device().bram(b), observed.value(),
+                          summary));
         }
         if (!crashed) {
             point.oneToZeroFraction = summary.oneToZeroFraction();
@@ -387,7 +388,8 @@ tryRunCriticalSweep(pmbus::Board &board, const SweepOptions &options)
 
     const ChannelBaseline baseline(board);
 
-    board.softReset();
+    if (auto reset = board.trySoftReset(); !reset.ok())
+        return reset.error();
     fillPattern(board, options.pattern);
 
     const std::uint64_t total_bits = board.device().totalBits();
@@ -490,7 +492,8 @@ tryRunCriticalSweep(pmbus::Board &board, const SweepOptions &options)
         checkpoint->valid = false; // campaign complete; nothing to resume
 
     baseline.fold(board, result.resilience);
-    board.softReset();
+    if (auto reset = board.trySoftReset(); !reset.ok())
+        return reset.error();
     return result;
 }
 

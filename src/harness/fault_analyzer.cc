@@ -1,5 +1,7 @@
 #include "harness/fault_analyzer.hh"
 
+#include <bit>
+
 #include "fpga/platform.hh"
 #include "util/logging.hh"
 
@@ -31,6 +33,29 @@ diffBram(const fpga::Bram &written, fpga::WordSpan observed,
         else
             ++summary.zeroToOne;
     });
+}
+
+std::uint64_t
+tallyBram(const fpga::Bram &written, fpga::WordSpan observed,
+          FaultSummary &summary)
+{
+    if (observed.size() != static_cast<std::size_t>(fpga::bramWords))
+        fatal("tallyBram: observed data has {} packed words, expected {}",
+              observed.size(), fpga::bramWords);
+
+    const fpga::WordSpan words = written.words();
+    std::uint64_t one_to_zero = 0;
+    std::uint64_t zero_to_one = 0;
+    for (std::size_t w = 0; w < words.size(); ++w) {
+        one_to_zero += static_cast<std::uint64_t>(
+            std::popcount(words[w] & ~observed[w]));
+        zero_to_one += static_cast<std::uint64_t>(
+            std::popcount(~words[w] & observed[w]));
+    }
+    summary.oneToZero += one_to_zero;
+    summary.zeroToOne += zero_to_one;
+    summary.totalFaults += one_to_zero + zero_to_one;
+    return one_to_zero + zero_to_one;
 }
 
 void

@@ -57,6 +57,15 @@ void diffBram(const fpga::Bram &written, fpga::WordSpan observed,
               std::uint32_t bram, std::vector<FaultObservation> &out,
               FaultSummary &summary);
 
+/**
+ * Count one BRAM's faults into @a summary without listing them: the
+ * polarity split is popcount(written & ~observed) for "1"->"0" and
+ * popcount(~written & observed) for "0"->"1". Equals the summary and
+ * fault count diffBram() produces. Returns the BRAM's fault count.
+ */
+std::uint64_t tallyBram(const fpga::Bram &written, fpga::WordSpan observed,
+                        FaultSummary &summary);
+
 /** Compatibility overload taking the 1024 observed 16-bit rows. */
 void diffBram(const fpga::Bram &written,
               const std::vector<std::uint16_t> &observed,

@@ -121,7 +121,13 @@ DenseLayer::forward(std::span<const float> x, std::span<float> z) const
     forwardBatch(x, z, 1);
 }
 
-void
+// forwardBatch and runBatchLayers (which inlines logsig) hold the
+// evaluation's hot loops. On an AVX-512 Xeon their speed depends on
+// where the loops fall against 32-byte fetch boundaries: a 16-byte
+// shift of both, caused by code growing elsewhere in the binary, made
+// nn_eval ~25 % slower. Pinning both to a cache line gives them the
+// same placement in every build.
+[[gnu::aligned(64)]] void
 DenseLayer::forwardBatch(std::span<const float> x, std::span<float> z,
                          int batch) const
 {
@@ -284,9 +290,10 @@ sizeBatchScratch(const Network &net, std::size_t columns,
 /**
  * Run the whole stack on the feature-major activations already gathered
  * into @a a; leaves the final layer's pre-softmax logits in @a a (class
- * c of sample s at a[c * batch + s]).
+ * c of sample s at a[c * batch + s]). Cache-line aligned for the
+ * reason given at DenseLayer::forwardBatch.
  */
-void
+[[gnu::aligned(64)]] void
 runBatchLayers(const Network &net, int batch, std::vector<float> &a,
                std::vector<float> &b)
 {

@@ -188,16 +188,23 @@ Board::effectiveAmbientC() const
     return ambientC_ + (injector_ ? injector_->tempDriftC() : 0.0);
 }
 
-void
-Board::softReset()
+Expected<void>
+Board::trySoftReset()
 {
     // Reconfiguration restores the DONE pin before the rails come back,
     // so the setpoint writes below run on an operational board.
     forcedCrash_ = false;
     crashCountdown_ = -1;
-    setVccBramMv(spec().vnomMv);
-    setVccIntMv(spec().vnomMv);
     runJitterV_ = 0.0;
+    if (auto set = trySetVccBramMv(spec().vnomMv); !set.ok())
+        return set;
+    return trySetVccIntMv(spec().vnomMv);
+}
+
+void
+Board::softReset()
+{
+    trySoftReset().orFatal();
 }
 
 void

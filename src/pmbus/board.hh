@@ -129,7 +129,14 @@ class Board
     /** DONE pin: high while the configuration is alive (not crashed). */
     bool donePin() const { return device_.operational() && !forcedCrash_; }
 
-    /** Restore nominal voltages after a crash probe (soft reset). */
+    /**
+     * Restore nominal voltages after a crash probe (soft reset) through
+     * the verified setpoint path. Error pmbusExhausted as
+     * trySetVccBramMv().
+     */
+    Expected<void> trySoftReset();
+
+    /** Fatal-on-error form of trySoftReset(). */
     void softReset();
 
     /**

@@ -5,6 +5,10 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__PCLMUL__) && defined(__SSSE3__)
+#include <immintrin.h>
+#endif
+
 #include "pmbus/fault_injector.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
@@ -57,6 +61,139 @@ makeCrcTables()
 constexpr std::array<std::array<std::uint16_t, 256>, 8> crcTables =
     makeCrcTables();
 
+/**
+ * Advance the CRC register over a byte run, eight bytes per iteration:
+ * the running register only reaches the first two bytes of each block,
+ * the rest fold in unconditioned.
+ */
+std::uint16_t
+crcTableUpdate(std::uint16_t crc, const std::uint8_t *data,
+               std::size_t size)
+{
+    std::size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+        crc = static_cast<std::uint16_t>(
+            crcTables[7][(data[i] ^ (crc >> 8)) & 0xFF] ^
+            crcTables[6][(data[i + 1] ^ crc) & 0xFF] ^
+            crcTables[5][data[i + 2]] ^ crcTables[4][data[i + 3]] ^
+            crcTables[3][data[i + 4]] ^ crcTables[2][data[i + 5]] ^
+            crcTables[1][data[i + 6]] ^ crcTables[0][data[i + 7]]);
+    }
+    for (; i < size; ++i) {
+        crc = static_cast<std::uint16_t>(
+            (crc << 8) ^ crcTables[0][((crc >> 8) ^ data[i]) & 0xFF]);
+    }
+    return crc;
+}
+
+#if defined(__PCLMUL__) && defined(__SSSE3__)
+
+/**
+ * t^k mod P for the CRC polynomial P = t^16 + t^12 + t^5 + 1 (0x11021):
+ * the residue that moves a polynomial k bit positions further down the
+ * message without changing its class mod P.
+ */
+constexpr long long
+tPowModPoly(int k)
+{
+    std::uint32_t residue = 1;
+    for (int i = 0; i < k; ++i) {
+        residue <<= 1;
+        if (residue & 0x10000)
+            residue ^= 0x11021;
+    }
+    return residue;
+}
+
+/**
+ * Constants that move a 128-bit lane X = H t^64 + L on by d message
+ * bits: t^(d+64) mod P multiplies H, t^d mod P multiplies L.
+ */
+struct FoldConstants
+{
+    long long high;
+    long long low;
+};
+
+constexpr FoldConstants
+foldConstants(int d)
+{
+    return {tPowModPoly(d + 64), tPowModPoly(d)};
+}
+
+constexpr FoldConstants fold512 = foldConstants(512);
+constexpr FoldConstants fold128 = foldConstants(128);
+
+/** X t^d mod-P congruent product; degree < 80, so it never overflows. */
+inline __m128i
+foldLane(__m128i lane, __m128i constants)
+{
+    return _mm_xor_si128(_mm_clmulepi64_si128(lane, constants, 0x11),
+                         _mm_clmulepi64_si128(lane, constants, 0x00));
+}
+
+/** Byte-reverse a lane: memory order <-> polynomial degree order. */
+inline __m128i
+reverseBytes(__m128i lane)
+{
+    return _mm_shuffle_epi8(lane,
+                            _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                         11, 12, 13, 14, 15));
+}
+
+/**
+ * Sixteen message bytes as one polynomial lane, first byte in the top
+ * degree bits (the CRC is unreflected).
+ */
+inline __m128i
+loadLane(const std::uint8_t *bytes)
+{
+    return reverseBytes(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(bytes)));
+}
+
+/**
+ * Carry-less-multiply CRC over at least 64 bytes. Four lanes fold
+ * 64 bytes per step; they then merge into one lane, which takes the
+ * remaining whole 16-byte blocks. The folded lane is congruent mod P to
+ * the message prefix, so its 16 bytes plus the short tail go through
+ * the table update with a zero register. The 0xFFFF initial register
+ * equals XORing 0xFFFF into the first two message bytes.
+ */
+std::uint16_t
+crcFold(const std::uint8_t *data, std::size_t size)
+{
+    const std::uint8_t *const end = data + size;
+    __m128i lane0 = _mm_xor_si128(
+        loadLane(data),
+        _mm_set_epi64x(static_cast<long long>(0xFFFF000000000000ull), 0));
+    __m128i lane1 = loadLane(data + 16);
+    __m128i lane2 = loadLane(data + 32);
+    __m128i lane3 = loadLane(data + 48);
+    const std::uint8_t *next = data + 64;
+    const __m128i k512 = _mm_set_epi64x(fold512.high, fold512.low);
+    for (; end - next >= 64; next += 64) {
+        lane0 = _mm_xor_si128(foldLane(lane0, k512), loadLane(next));
+        lane1 = _mm_xor_si128(foldLane(lane1, k512), loadLane(next + 16));
+        lane2 = _mm_xor_si128(foldLane(lane2, k512), loadLane(next + 32));
+        lane3 = _mm_xor_si128(foldLane(lane3, k512), loadLane(next + 48));
+    }
+    const __m128i k128 = _mm_set_epi64x(fold128.high, fold128.low);
+    __m128i folded = _mm_xor_si128(foldLane(lane0, k128), lane1);
+    folded = _mm_xor_si128(foldLane(folded, k128), lane2);
+    folded = _mm_xor_si128(foldLane(folded, k128), lane3);
+    for (; end - next >= 16; next += 16)
+        folded = _mm_xor_si128(foldLane(folded, k128), loadLane(next));
+
+    alignas(16) std::uint8_t residue[16];
+    _mm_store_si128(reinterpret_cast<__m128i *>(residue),
+                    reverseBytes(folded));
+    const std::uint16_t crc = crcTableUpdate(0, residue, sizeof residue);
+    return crcTableUpdate(crc, next, static_cast<std::size_t>(end - next));
+}
+
+#endif // __PCLMUL__ && __SSSE3__
+
 /** Registry handles, resolved once (registration takes a lock). */
 struct LinkMetrics
 {
@@ -85,24 +222,11 @@ std::uint16_t
 crc16(const std::vector<std::uint8_t> &bytes)
 {
     // CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection.
-    // Eight bytes per iteration: the running register only reaches the
-    // first two bytes of each block, the rest fold in unconditioned.
-    std::uint16_t crc = 0xFFFF;
-    std::size_t i = 0;
-    const std::uint8_t *data = bytes.data();
-    for (; i + 8 <= bytes.size(); i += 8) {
-        crc = static_cast<std::uint16_t>(
-            crcTables[7][(data[i] ^ (crc >> 8)) & 0xFF] ^
-            crcTables[6][(data[i + 1] ^ crc) & 0xFF] ^
-            crcTables[5][data[i + 2]] ^ crcTables[4][data[i + 3]] ^
-            crcTables[3][data[i + 4]] ^ crcTables[2][data[i + 5]] ^
-            crcTables[1][data[i + 6]] ^ crcTables[0][data[i + 7]]);
-    }
-    for (; i < bytes.size(); ++i) {
-        crc = static_cast<std::uint16_t>(
-            (crc << 8) ^ crcTables[0][((crc >> 8) ^ data[i]) & 0xFF]);
-    }
-    return crc;
+#if defined(__PCLMUL__) && defined(__SSSE3__)
+    if (bytes.size() >= 64)
+        return crcFold(bytes.data(), bytes.size());
+#endif
+    return crcTableUpdate(0xFFFF, bytes.data(), bytes.size());
 }
 
 SerialFrame

@@ -107,6 +107,51 @@ TEST(FaultAnalyzerTest, PackedDiffMatchesRowsDiff)
     EXPECT_EQ(packed_summary.zeroToOne, rows_summary.zeroToOne);
 }
 
+TEST(FaultAnalyzerTest, SweepMapsEqualDiffRecountOfReferenceReadback)
+{
+    // The sweep counts each BRAM's map by popcount; a diffBram walk of
+    // the same zero-jitter readback is the reference. 0xAAAA and the
+    // random fill put both polarities at stake.
+    for (const char *platform : {"VC707", "ZC702", "KC705-A"}) {
+        for (const PatternSpec &pattern :
+             {PatternSpec::allOnes(), PatternSpec::fixed(0xAAAA),
+              PatternSpec::random(0.5, 11)}) {
+            SCOPED_TRACE(std::string(platform) + " " + pattern.label());
+            Board board(fpga::findPlatform(platform));
+            SweepOptions options;
+            options.pattern = pattern;
+            options.runsPerLevel = 1;
+            auto sweep = tryRunCriticalSweep(board, options);
+            ASSERT_TRUE(sweep.ok()) << sweep.error().message;
+            ASSERT_FALSE(sweep.value().points.empty());
+
+            fillPattern(board, pattern);
+            for (const SweepPoint &point : sweep.value().points) {
+                board.setVccBramMv(point.vccBramMv);
+                board.startReferenceRun();
+                FaultSummary summary;
+                std::vector<FaultObservation> faults;
+                ASSERT_EQ(point.perBramFaults.size(),
+                          board.device().bramCount());
+                for (std::uint32_t b = 0; b < board.device().bramCount();
+                     ++b) {
+                    faults.clear();
+                    auto observed = board.tryReadBramPacked(b);
+                    ASSERT_TRUE(observed.ok());
+                    diffBram(board.device().bram(b), observed.value(), b,
+                             faults, summary);
+                    ASSERT_EQ(point.perBramFaults[b],
+                              static_cast<int>(faults.size()))
+                        << point.vccBramMv << " mV, BRAM " << b;
+                }
+                EXPECT_EQ(point.oneToZeroFraction,
+                          summary.oneToZeroFraction())
+                    << point.vccBramMv << " mV";
+            }
+        }
+    }
+}
+
 TEST(FaultAnalyzerTest, PerMbitConversion)
 {
     // 652 faults over exactly 1 Mbit is 652 per Mbit.

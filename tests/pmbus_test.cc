@@ -107,6 +107,60 @@ TEST(SerialLinkTest, Crc16KnownVector)
     EXPECT_EQ(crc16(check), 0x29B1);
 }
 
+/** CRC-16/CCITT-FALSE by its definition: one message bit per step. */
+std::uint16_t
+crc16Bitwise(const std::uint8_t *data, std::size_t size)
+{
+    std::uint16_t crc = 0xFFFF;
+    for (std::size_t i = 0; i < size; ++i) {
+        for (int bit = 7; bit >= 0; --bit) {
+            const bool feedback =
+                ((crc >> 15) ^ (data[i] >> bit)) & 1u;
+            crc = static_cast<std::uint16_t>(crc << 1);
+            if (feedback)
+                crc ^= 0x1021;
+        }
+    }
+    return crc;
+}
+
+TEST(SerialLinkTest, Crc16MatchesBitwiseDefinitionAtEveryLengthAndOffset)
+{
+    // Covers the short-frame table path, the fold kernel's 64-byte
+    // threshold, every 16-byte block remainder and every tail length,
+    // at every start alignment of the unaligned lane loads.
+    std::vector<std::uint8_t> pool(4200 + 16);
+    std::uint32_t state = 0x9E3779B9u;
+    for (auto &byte : pool) {
+        state = state * 1664525u + 1013904223u;
+        byte = static_cast<std::uint8_t>(state >> 24);
+    }
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        for (std::size_t length = 0; length <= 4200; ++length) {
+            const std::vector<std::uint8_t> frame(
+                pool.begin() + static_cast<std::ptrdiff_t>(offset),
+                pool.begin() + static_cast<std::ptrdiff_t>(offset + length));
+            ASSERT_EQ(crc16(frame), crc16Bitwise(frame.data(), length))
+                << "length " << length << " offset " << offset;
+        }
+    }
+}
+
+TEST(SerialLinkTest, AnySingleByteFlipInAFullFrameFailsVerification)
+{
+    std::vector<std::uint8_t> payload(2048);
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<std::uint8_t>(i * 131u + 7u);
+    SerialLink link;
+    const SerialFrame frame = link.transfer(payload);
+    ASSERT_TRUE(frame.verified());
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+        SerialFrame tampered = frame;
+        tampered.payload[i] ^= static_cast<std::uint8_t>(1u + i % 255u);
+        EXPECT_FALSE(tampered.verified()) << "flip at byte " << i;
+    }
+}
+
 TEST(SerialLinkTest, TransferVerifiesAndCounts)
 {
     SerialLink link;

@@ -17,6 +17,7 @@
 
 #include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
+#include "harness/fleet.hh"
 #include "harness/fvm.hh"
 #include "harness/governor.hh"
 #include "pmbus/board.hh"
@@ -205,6 +206,60 @@ TEST(ResilientSweep, InjectedFaultsAreFullyMasked)
     EXPECT_GT(noisy.resilience.runsRetried, 0u);
     EXPECT_GT(noisy.resilience.linkRetransmits, 0u);
     EXPECT_GT(noisy.resilience.pmbusRetries, 0u);
+}
+
+TEST(ResilientSweep, ExhaustedSoftResetIsAnErrorNotAnExit)
+{
+    // Every rail restore goes through the verified setpoint path: with
+    // one attempt under heavy NACKs the sweep's opening soft reset
+    // gives up, and the caller gets the error to retry on.
+    NoiseConfig noise;
+    noise.seed = 3;
+    noise.pmbusNackProb = 0.9;
+
+    Board sweep_board(fpga::findPlatform("ZC702"));
+    sweep_board.attachNoise(noise);
+    sweep_board.setMaxPmbusAttempts(1);
+    auto sweep = tryRunCriticalSweep(sweep_board, fastSweepOptions());
+    ASSERT_FALSE(sweep.ok());
+    EXPECT_EQ(sweep.code(), Errc::pmbusExhausted);
+
+    Board region_board(fpga::findPlatform("ZC702"));
+    region_board.attachNoise(noise);
+    region_board.setMaxPmbusAttempts(1);
+    auto regions = tryDiscoverRegions(region_board, fpga::RailId::VccBram);
+    ASSERT_FALSE(regions.ok());
+    EXPECT_EQ(regions.code(), Errc::pmbusExhausted);
+}
+
+TEST(ResilientSweep, FleetRetriesAnExhaustedSoftReset)
+{
+    // Under this NACK stream the first attempt's board runs out of
+    // PMBus attempts while a soft reset restores the rails; the fleet's
+    // reseeded retry then completes the job with the quiet result.
+    NoiseConfig noise;
+    noise.seed = 16;
+    noise.pmbusNackProb = 0.3;
+    Board first_attempt(fpga::findPlatform("ZC702"));
+    first_attempt.setAmbientC(50.0);
+    first_attempt.attachNoise(noise);
+    auto failed = tryRunCriticalSweep(first_attempt, fastSweepOptions());
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.code(), Errc::pmbusExhausted);
+
+    FleetPlan quiet = FleetPlan::crossProduct(
+        {"ZC702"}, {PatternSpec::allOnes()}, {50.0});
+    quiet.runsPerLevel = fastSweepOptions().runsPerLevel;
+    FleetPlan noisy = quiet;
+    noisy.jobs.front().noise = noise;
+    FleetEngine engine;
+    auto quiet_result = engine.run(quiet);
+    auto noisy_result = engine.run(noisy);
+    ASSERT_TRUE(quiet_result.ok());
+    ASSERT_TRUE(noisy_result.ok()) << noisy_result.error().message;
+    EXPECT_EQ(noisy_result.value().jobs.front().attempts, 2);
+    expectSameSweep(quiet_result.value().jobs.front().sweep,
+                    noisy_result.value().jobs.front().sweep);
 }
 
 TEST(ResilientSweep, DiscoverRegionsSurvivesNoise)

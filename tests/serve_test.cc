@@ -21,6 +21,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -838,10 +839,12 @@ TEST(ServeObservability, RefusedAdmissionStillClosesItsFlow)
         GTEST_SKIP() << "telemetry compiled out";
     TelemetryOn guard;
 
-    // Capacity 1 and a worker wedged behind a characterize: the next
-    // submits hit queueFull, and each refused admission must still be a
-    // closed flow (one start, one "serve.reject" finish) — a half-open
-    // flow draws forever-dangling arrows in the viewer.
+    // Capacity 1, one characterize running in the only worker and a
+    // second one filling the queue: the classify submits behind them
+    // hit queueFull, and each refused admission must still be a closed
+    // flow (one start, one "serve.reject" finish) — a half-open flow
+    // draws forever-dangling arrows in the viewer. No future is waited
+    // on before the submit loop ends, so nothing drains the queue early.
     ServerConfig config;
     config.workers = 1;
     config.queueCapacity = 1;
@@ -852,16 +855,23 @@ TEST(ServeObservability, RefusedAdmissionStillClosesItsFlow)
     CharacterizeRequest slow;
     slow.platform = "ZC702";
     slow.runsPerLevel = 3;
-    auto wedge = server.submitCharacterize(slow).orFatal();
+    auto running = server.submitCharacterize(slow).orFatal();
+    while (server.queueDepth() != 0)
+        std::this_thread::yield(); // the worker has taken it
+    auto queued = server.submitCharacterize(slow).orFatal();
     std::uint64_t rejected = 0;
+    std::vector<std::future<Expected<ClassifyResponse>>> classified;
     for (int i = 0; i < 32; ++i) {
         auto admitted = server.submitClassify(forestRequest(2, i, 850));
         if (admitted.ok())
-            ASSERT_TRUE(admitted.take().get().ok());
+            classified.push_back(admitted.take());
         else
             ++rejected;
     }
-    ASSERT_TRUE(wedge.get().ok());
+    for (auto &future : classified)
+        ASSERT_TRUE(future.get().ok());
+    ASSERT_TRUE(running.get().ok());
+    ASSERT_TRUE(queued.get().ok());
     server.stop();
 
     std::map<std::uint64_t, std::pair<int, int>> flows; // starts, ends
