@@ -167,9 +167,10 @@ python3 scripts/check_figures.py
 
 echo "== batched-evaluation identity check (fig11) =="
 # The batched engine's contract is bit-identity at any batch width and
-# worker count. Prove it end to end: run the Fig 11 sweep twice — once
-# at batch 1 (the scalar-equivalent width) and once at batch 64 with a
-# 4-worker pool — and require byte-identical CSVs. A scratch directory
+# worker count. Prove it end to end: run the Fig 11 sweep at batch 1
+# (the scalar-equivalent width), at the ragged batch 13 (every kernel
+# call takes a masked column tail) and at batch 64 with a 4-worker
+# pool, and require byte-identical CSVs. A scratch directory
 # keeps the committed results/ untouched; the shared model cache avoids
 # retraining; a reduced UVOLT_EVAL_LIMIT keeps the leg seconds-scale
 # (identity must hold at ANY limit, so a small one proves as much as
@@ -181,11 +182,14 @@ export UVOLT_CACHE_DIR="$PWD/uvolt_model_cache"
     UVOLT_BATCH=1 UVOLT_EVAL_LIMIT=400 \
         "$OLDPWD/build/bench/fig11_nn_error" > /dev/null &&
     mv results/fig11_nn_error.csv fig11_batch1.csv &&
+    UVOLT_BATCH=13 UVOLT_EVAL_LIMIT=400 \
+        "$OLDPWD/build/bench/fig11_nn_error" > /dev/null &&
+    cmp results/fig11_nn_error.csv fig11_batch1.csv &&
     UVOLT_BATCH=64 UVOLT_EVAL_LIMIT=400 UVOLT_EVAL_WORKERS=4 \
         "$OLDPWD/build/bench/fig11_nn_error" > /dev/null &&
     cmp results/fig11_nn_error.csv fig11_batch1.csv)
 unset UVOLT_CACHE_DIR
-echo "fig11 CSV byte-identical at batch 1 vs batch 64 + 4 workers"
+echo "fig11 CSV byte-identical at batch 1, 13 and 64 + 4 workers"
 
 echo "== tier 1: sanitized build (ASan + UBSan) =="
 # fatal() death tests exit(1) mid-flight by design; leak checking on
@@ -203,22 +207,27 @@ echo "== bit-twiddling under UBSan (UVOLT_SANITIZE=undefined) =="
 # The packed fault-domain layout lives on shifts, masks, and narrowing
 # casts (bram.cc, fault_domain.hh, chip_fault_model.cc, the mask
 # ladders of the mem:: backends, the analyzer's ctz walk). A UBSan-only
-# build is fast enough to run the six suites that exercise every one
+# build is fast enough to run the suites that exercise every one
 # of those paths on each CI pass — ASan's memory instrumentation isn't
 # needed here and would double the leg. pmbus_test drives the serial
 # link's CRC fold kernel (unaligned intrinsic loads, lane shifts) at
 # every length and alignment; resilience_test drives the retry and
-# recovery paths that reach it under noise.
+# recovery paths that reach it under noise. nn_test drives the dense
+# layer's AVX-512 micro-kernel (intrinsics, masked column tails at
+# every batch width 1..130) and the float dequantize; accel_test
+# drives the accelerator's recovering readback.
 cmake -B build-ubsan -S . -DUVOLT_SANITIZE=undefined
 cmake --build build-ubsan -j "$jobs" \
     --target fpga_test vmodel_test harness_test membackend_test \
-    pmbus_test resilience_test
+    pmbus_test resilience_test nn_test accel_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/fpga_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/vmodel_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/harness_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/membackend_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/pmbus_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/resilience_test
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/nn_test
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/accel_test
 
 echo "== tier 1: thread-sanitized build (TSan) =="
 # Only the suites that actually spin threads: the fleet engine, the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
 #include "util/logging.hh"
 #include "util/telemetry.hh"
@@ -71,31 +72,55 @@ Accelerator::restoreImage() const
 }
 
 std::vector<std::uint64_t>
-Accelerator::readPhysicalRecoverable(std::uint32_t physical) const
+readBramRecovering(pmbus::Board &board, std::uint32_t physical,
+                   const std::function<void()> &restore,
+                   std::uint64_t &recoveries)
 {
-    constexpr int max_recoveries = 16;
-    for (int attempt = 0; attempt <= max_recoveries; ++attempt) {
-        auto observed = board_.tryReadBramPacked(physical);
+    constexpr int max_retries = 16;
+    const int level_mv = board.vccBramMv();
+    const double jitter_v = board.runJitterV();
+    // Recovery owed from earlier attempts: a reconfiguration (soft reset
+    // plus storage restore), then re-entry at the operating point. A
+    // step that fails stays owed, so no read ever runs on a board that
+    // is only half recovered.
+    bool reconfigure = false;
+    bool reenter = false;
+    std::string last_error;
+    for (int attempt = 0; attempt <= max_retries; ++attempt) {
+        if (reconfigure) {
+            if (auto reset = board.trySoftReset(); !reset.ok()) {
+                last_error = reset.error().message;
+                continue;
+            }
+            restore();
+            reconfigure = false;
+        }
+        if (reenter) {
+            // Restore the operating point and retry under the original
+            // supply jitter, so the recovered read equals the
+            // undisturbed one.
+            if (auto set = board.trySetVccBramMv(level_mv); !set.ok()) {
+                last_error = set.error().message;
+                continue;
+            }
+            board.resumeRun(jitter_v);
+            reenter = false;
+        }
+        auto observed = board.tryReadBramPacked(physical);
         if (observed.ok())
             return observed.take();
-        if (observed.code() != Errc::crashDetected)
-            fatal("{}", observed.error().message);
-        // Spurious crash under the payload: recover like the harness
-        // watchdog does. Reconfiguration brings the weight image back
-        // with the bitstream; then restore the operating point and
-        // retry under the original supply jitter so the recovered read
-        // equals the undisturbed one.
-        ++crashRecoveries_;
-        accelMetrics().crashRecoveries.increment();
-        const int level_mv = board_.vccBramMv();
-        const double jitter_v = board_.runJitterV();
-        board_.softReset();
-        restoreImage();
-        board_.setVccBramMv(level_mv);
-        board_.resumeRun(jitter_v);
+        last_error = observed.error().message;
+        if (observed.code() == Errc::crashDetected) {
+            ++recoveries;
+            accelMetrics().crashRecoveries.increment();
+            reconfigure = reenter = true;
+        }
+        // Any other readback error is the serial link giving up on one
+        // frame; the board is intact and the next attempt re-reads.
     }
-    fatal("{}: accelerator readback of BRAM {} crashed {} times in a row",
-          board_.spec().name, physical, max_recoveries);
+    fatal("{}: readback of BRAM {} still failing after {} retries; "
+          "last: {}",
+          board.spec().name, physical, max_retries, last_error);
 }
 
 const Accelerator::Observation &
@@ -122,7 +147,9 @@ Accelerator::observed() const
     for (std::uint32_t logical = 0; logical < image_.logicalBramCount();
          ++logical) {
         words.push_back(
-            readPhysicalRecoverable(placement_.physicalOf(logical)));
+            readBramRecovering(board_, placement_.physicalOf(logical),
+                               [this] { restoreImage(); },
+                               crashRecoveries_));
     }
     nn::QuantizedModel model = image_.decode(words);
     nn::Network network = model.toNetwork();

@@ -17,6 +17,7 @@
 #define UVOLT_ACCEL_ACCELERATOR_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -35,6 +36,21 @@ struct WeightFaultReport
     std::vector<std::uint64_t> faultsPerLayer;
     std::uint64_t total = 0;
 };
+
+/**
+ * Read one physical BRAM (packed) through @a board, recovering like the
+ * harness watchdog. A spurious crash costs a reconfiguration (soft
+ * reset, then @a restore re-writes the storage the caller keeps on the
+ * device), a setpoint restore and a retry under the original supply
+ * jitter, so the recovered read equals the undisturbed one; each crash
+ * bumps @a recoveries. A failed recovery step or a read the serial link
+ * gave up on costs one attempt of a budget of 16 retries; fatal() once
+ * that is spent.
+ */
+std::vector<std::uint64_t>
+readBramRecovering(pmbus::Board &board, std::uint32_t physical,
+                   const std::function<void()> &restore,
+                   std::uint64_t &recoveries);
 
 /** The deployed accelerator. */
 class Accelerator
@@ -124,14 +140,6 @@ class Accelerator
 
     /** Re-write the weight image (reconfiguration restores it). */
     void restoreImage() const;
-
-    /**
-     * Read one physical BRAM (packed), recovering spurious crashes like
-     * the harness watchdog: reconfigure, restore the operating point,
-     * and retry under the original supply jitter.
-     */
-    std::vector<std::uint64_t>
-    readPhysicalRecoverable(std::uint32_t physical) const;
 
     /** The cached observation at the current dose (refreshed on miss). */
     const Observation &observed() const;

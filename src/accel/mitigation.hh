@@ -118,7 +118,7 @@ class MitigationLab
     /** Re-write data, replica, and check BRAMs (reconfiguration). */
     void restoreAllStorage() const;
 
-    /** Crash-recovering packed physical readback (see Accelerator). */
+    /** Crash-recovering packed physical readback (readBramRecovering). */
     std::vector<std::uint64_t>
     readPhysical(std::uint32_t physical) const;
 

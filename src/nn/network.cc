@@ -4,6 +4,10 @@
 #include <cmath>
 #include <cstdlib>
 
+#ifdef __AVX512F__
+#include <immintrin.h>
+#endif
+
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/telemetry.hh"
@@ -113,20 +117,108 @@ DenseLayer::forward(std::span<const float> x, std::span<float> z) const
               z.size(), inputs_, outputs_);
     }
     // One arithmetic definition for both paths: the scalar forward IS
-    // the batched kernel at width 1. A hand-written scalar loop would
-    // compile to a different product-rounding mix (the vectorizer
-    // rounds products before the ordered adds, the remainder loop
-    // contracts them into FMAs), and the batched kernel could never
-    // reproduce that codegen artifact bit for bit.
+    // the batched kernel at width 1, so the two cannot drift apart
+    // through codegen (a hand-written dot product may be vectorized
+    // with rounded products feeding ordered adds instead of the FMA
+    // chain the kernel computes).
     forwardBatch(x, z, 1);
 }
 
-// forwardBatch and runBatchLayers (which inlines logsig) hold the
-// evaluation's hot loops. On an AVX-512 Xeon their speed depends on
-// where the loops fall against 32-byte fetch boundaries: a 16-byte
-// shift of both, caused by code growing elsewhere in the binary, made
-// nn_eval ~25 % slower. Pinning both to a cache line gives them the
-// same placement in every build.
+#ifdef __AVX512F__
+
+namespace
+{
+
+constexpr int kernelRows = 4;   ///< output rows per register block
+constexpr int kernelChunks = 4; ///< 16-float zmm chunks per block
+constexpr std::size_t lanes = 16;
+constexpr std::size_t blockColumns = kernelChunks * lanes;
+
+/**
+ * One register block of Z = W X + b: @a Rows output rows by @a Chunks
+ * 16-column chunks, the last chunk masked to @a tail. The Rows x Chunks
+ * zmm accumulators start from the bias and take one fused multiply-add
+ * per input in ascending order without leaving registers, which is
+ * exactly the per-accumulator chain of the scalar definition.
+ */
+template <int Rows, int Chunks>
+[[gnu::always_inline]] inline void
+fmaBlock(const float *w, std::size_t inputs, const float *bias,
+         const float *x, float *z, std::size_t columns, __mmask16 tail)
+{
+    __m512 acc[Rows][Chunks];
+    for (int r = 0; r < Rows; ++r) {
+        for (int c = 0; c < Chunks; ++c)
+            acc[r][c] = _mm512_set1_ps(bias[r]);
+    }
+    for (std::size_t i = 0; i < inputs; ++i) {
+        const float *x_row = x + i * columns;
+        __m512 xv[Chunks];
+        for (int c = 0; c + 1 < Chunks; ++c)
+            xv[c] = _mm512_loadu_ps(x_row + c * lanes);
+        xv[Chunks - 1] =
+            _mm512_maskz_loadu_ps(tail, x_row + (Chunks - 1) * lanes);
+        for (int r = 0; r < Rows; ++r) {
+            const __m512 wv = _mm512_set1_ps(w[r * inputs + i]);
+            for (int c = 0; c < Chunks; ++c)
+                acc[r][c] = _mm512_fmadd_ps(wv, xv[c], acc[r][c]);
+        }
+    }
+    for (int r = 0; r < Rows; ++r) {
+        float *z_row = z + r * columns;
+        for (int c = 0; c + 1 < Chunks; ++c)
+            _mm512_storeu_ps(z_row + c * lanes, acc[r][c]);
+        _mm512_mask_storeu_ps(z_row + (Chunks - 1) * lanes, tail,
+                              acc[r][Chunks - 1]);
+    }
+}
+
+/**
+ * @a Rows output rows across every batch column: full 64-column blocks,
+ * then the ragged tail through the instance with its chunk count.
+ */
+template <int Rows>
+[[gnu::always_inline]] inline void
+fmaRows(const float *w, std::size_t inputs, const float *bias,
+        const float *x, float *z, std::size_t columns)
+{
+    std::size_t s = 0;
+    for (; s + blockColumns <= columns; s += blockColumns)
+        fmaBlock<Rows, kernelChunks>(w, inputs, bias, x + s, z + s,
+                                     columns, 0xFFFF);
+    const std::size_t rest = columns - s;
+    if (rest == 0)
+        return;
+    const __mmask16 tail = rest % lanes == 0
+        ? __mmask16{0xFFFF}
+        : static_cast<__mmask16>((1u << (rest % lanes)) - 1u);
+    switch ((rest + lanes - 1) / lanes) {
+      case 1:
+        fmaBlock<Rows, 1>(w, inputs, bias, x + s, z + s, columns, tail);
+        break;
+      case 2:
+        fmaBlock<Rows, 2>(w, inputs, bias, x + s, z + s, columns, tail);
+        break;
+      case 3:
+        fmaBlock<Rows, 3>(w, inputs, bias, x + s, z + s, columns, tail);
+        break;
+      default:
+        fmaBlock<Rows, 4>(w, inputs, bias, x + s, z + s, columns, tail);
+        break;
+    }
+}
+
+} // namespace
+
+#endif // __AVX512F__
+
+// forwardBatch (which inlines the micro-kernel) and runBatchLayers
+// (which inlines logsig) hold the evaluation's hot loops. Both are
+// pinned to a cache line so code growth elsewhere cannot move them
+// against the 32-byte fetch boundaries: such a 16-byte shift once cost
+// nn_eval ~25 % on an AVX-512 Xeon. For the micro-kernel, an A/B of
+// builds with and without -falign-functions=64 shows no difference
+// beyond run-to-run noise (EXPERIMENTS.md).
 [[gnu::aligned(64)]] void
 DenseLayer::forwardBatch(std::span<const float> x, std::span<float> z,
                          int batch) const
@@ -140,6 +232,22 @@ DenseLayer::forwardBatch(std::span<const float> x, std::span<float> z,
               "batch {}", x.size(), z.size(), inputs_, outputs_, batch);
     }
 
+#ifdef __AVX512F__
+    const std::size_t inputs = static_cast<std::size_t>(inputs_);
+    int o = 0;
+    for (; o + kernelRows <= outputs_; o += kernelRows) {
+        const std::size_t row = static_cast<std::size_t>(o);
+        fmaRows<kernelRows>(weights_.data() + row * inputs, inputs,
+                            biases_.data() + row, x.data(),
+                            z.data() + row * columns, columns);
+    }
+    for (; o < outputs_; ++o) {
+        const std::size_t row = static_cast<std::size_t>(o);
+        fmaRows<1>(weights_.data() + row * inputs, inputs,
+                   biases_.data() + row, x.data(),
+                   z.data() + row * columns, columns);
+    }
+#else
     // Seed every accumulator with its bias (the scalar chain's start).
     for (int o = 0; o < outputs_; ++o) {
         const float bias = biases_[static_cast<std::size_t>(o)];
@@ -177,6 +285,7 @@ DenseLayer::forwardBatch(std::span<const float> x, std::span<float> z,
             }
         }
     }
+#endif
 }
 
 float

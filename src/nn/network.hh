@@ -64,15 +64,20 @@ class DenseLayer
      * @a x is the inputs() x batch activation matrix with sample s in
      * column s and the batch dimension contiguous (element (i, s) at
      * x[i * batch + s]); @a z is the outputs() x batch result in the
-     * same layout. The kernel is cache-blocked (a weight tile and an
-     * activation tile stay resident while every output of the block is
-     * accumulated) and lets the compiler vectorize across the batch
-     * columns — independent accumulators, so no float reassociation.
+     * same layout. On AVX-512 builds a register-blocked micro-kernel
+     * covers 4 output rows x up to 64 batch columns with 16 zmm
+     * accumulators that stay in registers across the whole input
+     * range; a ragged column tail runs through the 1-4 chunk instance
+     * with masked loads and stores, and outputs % 4 spare rows through
+     * a 1-row instance. Other builds keep a cache-blocked loop that
+     * the compiler vectorizes across the batch columns.
      *
-     * Bit-identical per column to forward(): each (output, sample)
-     * accumulator starts from the bias and adds the products in
-     * ascending input order, exactly the scalar chain; the blocking
-     * only interleaves *independent* accumulators.
+     * Arithmetic contract, on every path: each (output, sample)
+     * accumulator starts from the bias and takes one multiply-add per
+     * input in ascending input order — fused on FMA targets. Blocking
+     * only interleaves independent accumulators, never reassociates
+     * one, so every column is bit-identical to forward() on that
+     * sample at any batch width.
      */
     void forwardBatch(std::span<const float> x, std::span<float> z,
                       int batch) const;

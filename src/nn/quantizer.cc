@@ -42,10 +42,18 @@ QuantizedModel::toNetwork() const
     for (int l = 0; l < net.layerCount(); ++l) {
         const auto &quantized = layers[static_cast<std::size_t>(l)];
         auto &layer = net.layer(l);
+        // QFormat::dequantize in float: a magnitude below 2^15 and an
+        // LSB of 2^-frac (frac <= 15) are both exact floats, so their
+        // product is the exact value dequantize() rounds to float, and
+        // the sign flip keeps 0x8000 as -0.0f.
+        const float lsb = static_cast<float>(quantized.format.resolution());
         auto weights = layer.weights();
         for (std::size_t i = 0; i < weights.size(); ++i) {
-            weights[i] = static_cast<float>(
-                quantized.format.dequantize(quantized.weights[i]));
+            const fxp::Word word = quantized.weights[i];
+            const float magnitude =
+                static_cast<float>(word & 0x7fffu) * lsb;
+            weights[i] = fxp::getBit(word, fxp::signBit) ? -magnitude
+                                                         : magnitude;
         }
         auto biases = layer.biases();
         for (std::size_t i = 0; i < biases.size(); ++i)

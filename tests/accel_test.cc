@@ -407,6 +407,44 @@ TEST(AcceleratorTest, FaultCountGrowsWithDepth)
     EXPECT_GT(previous, 0u);
 }
 
+TEST(AcceleratorTest, CrashRecoverySurvivesSetpointNacks)
+{
+    // The paper's topology on VC707, 10 mV above Vcrash: inside the
+    // spurious-crash band, where a crash is certain to be armed. Every
+    // PMBus transaction NACKs with p = 0.6 and gets one attempt, so
+    // recovery steps fail often. Seed 28 crashes mid-readback and its
+    // first soft reset is NACKed; the read must spend attempts instead
+    // of ending the process, and still equal the quiet readback.
+    nn::Network net({784, 1024, 512, 256, 128, 10});
+    net.initWeights(1);
+    const WeightImage image(nn::quantize(net));
+    const auto &spec = fpga::findPlatform("VC707");
+    const int level_mv = spec.calib.bramVcrashMv + 10;
+
+    Board quiet(spec);
+    const Accelerator reference(quiet, image, defaultPlacement(image));
+    quiet.setVccBramMv(level_mv);
+    quiet.startRun();
+    const WeightFaultReport expected = reference.weightFaults();
+
+    Board board(spec);
+    const Accelerator accel(board, image, defaultPlacement(image));
+    board.setVccBramMv(level_mv);
+    pmbus::NoiseConfig noise;
+    noise.seed = 28;
+    noise.spuriousCrashProb = 1.0;
+    noise.pmbusNackProb = 0.6;
+    board.attachNoise(noise);
+    board.setMaxPmbusAttempts(1);
+    board.startRun();
+    const WeightFaultReport report = accel.weightFaults();
+
+    EXPECT_GT(accel.crashRecoveries(), 0u);
+    EXPECT_GT(board.pmbusStats().exhausted, 0u);
+    EXPECT_EQ(report.faultsPerLayer, expected.faultsPerLayer);
+    EXPECT_EQ(report.total, expected.total);
+}
+
 TEST(InjectionTest, FlipsExactlyRequestedOnes)
 {
     nn::QuantizedModel model = smallModel();

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <memory>
+#include <utility>
 
 #include "data/synthetic.hh"
 #include "nn/model_zoo.hh"
@@ -227,6 +231,38 @@ TEST(QuantizerTest, DecodedWeightsCloseToFloat)
     EXPECT_NEAR(rebuilt.layer(0).weight(0, 1), -0.456f, 1e-4f);
 }
 
+TEST(QuantizerTest, ToNetworkMatchesDequantizeExhaustively)
+{
+    constexpr int words = 1 << fxp::wordBits;
+    for (int digits = 0; digits < fxp::wordBits; ++digits) {
+        QuantizedModel model;
+        model.layerSizes = {words, 1};
+        QuantizedLayer layer;
+        layer.inputs = words;
+        layer.outputs = 1;
+        layer.format = fxp::QFormat(digits);
+        for (int w = 0; w < words; ++w)
+            layer.weights.push_back(static_cast<fxp::Word>(w));
+        layer.biases = {0.0f};
+        model.layers.push_back(layer);
+
+        const Network net = model.toNetwork();
+        const auto decoded = net.layer(0).weights();
+        int mismatches = 0;
+        for (int w = 0; w < words; ++w) {
+            const float expected = static_cast<float>(
+                layer.format.dequantize(static_cast<fxp::Word>(w)));
+            // Bitwise, so 0x8000 must decode to -0.0f, not +0.0f.
+            if (std::bit_cast<std::uint32_t>(
+                    decoded[static_cast<std::size_t>(w)]) !=
+                std::bit_cast<std::uint32_t>(expected))
+                ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0) << layer.format.describe();
+        EXPECT_TRUE(std::signbit(decoded[0x8000]));
+    }
+}
+
 TEST(QuantizerTest, ZeroBitFractionOfTrainedNetIsHigh)
 {
     const data::Dataset train_set = data::makeForestLike(1200, 3);
@@ -318,6 +354,88 @@ TEST(BatchedEval, ForwardBatchBitIdenticalPerColumn)
                         static_cast<std::size_t>(s)],
                       expected[static_cast<std::size_t>(o)])
                 << "sample " << s << " output " << o;
+        }
+    }
+}
+
+/**
+ * The kernel's arithmetic contract written out independently of it:
+ * each accumulator starts from the bias and takes one fused
+ * multiply-add per input, in ascending input order (a plain
+ * multiply-add where the target has no FMA).
+ */
+float
+fmaChainReference(const DenseLayer &layer, int output,
+                  std::span<const float> sample)
+{
+    float acc = layer.bias(output);
+    for (int i = 0; i < layer.inputs(); ++i) {
+        const float w = layer.weight(output, i);
+        const float x = sample[static_cast<std::size_t>(i)];
+#ifdef __FMA__
+        acc = std::fma(w, x, acc);
+#else
+        acc = acc + w * x;
+#endif
+    }
+    return acc;
+}
+
+TEST(BatchedEval, ForwardBatchMatchesFmaChainReference)
+{
+    constexpr int max_batch = 130;
+    Rng rng(combineSeeds(17, hashSeed("fma-chain")));
+    for (const auto &[inputs, outputs] : std::vector<std::pair<int, int>>{
+             {784, 1024}, {54, 16}, {16, 7}, {5, 1}, {3, 10}}) {
+        DenseLayer layer(inputs, outputs);
+        for (float &w : layer.weights())
+            w = static_cast<float>(rng.uniform(-1.0, 1.0));
+        for (float &b : layer.biases())
+            b = static_cast<float>(rng.uniform(-1.0, 1.0));
+        // Sample-major inputs and the per-sample reference chains; a
+        // column's chain does not depend on the batch it rides in.
+        const std::size_t in = static_cast<std::size_t>(inputs);
+        const std::size_t out = static_cast<std::size_t>(outputs);
+        std::vector<float> samples(in * max_batch);
+        for (float &v : samples)
+            v = static_cast<float>(rng.uniform(-2.0, 2.0));
+        std::vector<float> reference(out * max_batch);
+        for (std::size_t s = 0; s < max_batch; ++s) {
+            const std::span<const float> sample(samples.data() + s * in,
+                                                in);
+            for (int o = 0; o < outputs; ++o)
+                reference[s * out + static_cast<std::size_t>(o)] =
+                    fmaChainReference(layer, o, sample);
+        }
+
+        // Both spans start one float past a 64-byte boundary, so no
+        // vector access of the kernel is aligned by accident.
+        std::vector<float> x_store(in * max_batch + 32);
+        std::vector<float> z_store(out * max_batch + 32);
+        const auto misalign = [](std::vector<float> &store) {
+            void *p = store.data();
+            std::size_t space = store.size() * sizeof(float);
+            std::align(64, sizeof(float), p, space);
+            return static_cast<float *>(p) + 1;
+        };
+        float *x = misalign(x_store);
+        float *z = misalign(z_store);
+        std::vector<float> expected;
+        for (std::size_t batch = 1; batch <= max_batch; ++batch) {
+            expected.resize(out * batch);
+            for (std::size_t s = 0; s < batch; ++s) {
+                for (std::size_t i = 0; i < in; ++i)
+                    x[i * batch + s] = samples[s * in + i];
+                for (std::size_t o = 0; o < out; ++o)
+                    expected[o * batch + s] = reference[s * out + o];
+            }
+            layer.forwardBatch(std::span<const float>(x, in * batch),
+                               std::span<float>(z, out * batch),
+                               static_cast<int>(batch));
+            EXPECT_EQ(std::memcmp(z, expected.data(),
+                                  out * batch * sizeof(float)),
+                      0)
+                << inputs << "->" << outputs << " at batch " << batch;
         }
     }
 }
