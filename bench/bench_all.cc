@@ -97,9 +97,10 @@ UVOLT_BENCHMARK(BM_DeviceFaultCount)
 
 /**
  * The memo-defeating variant: every iteration draws fresh supply
- * jitter, so the effective voltage changes and the count streams the
- * packed threshold ladders for real instead of replaying the
- * (content epoch, voltage) memo BM_DeviceFaultCount converges to.
+ * jitter, so the effective voltage changes and the count searches the
+ * board's fault index for real instead of replaying the (content
+ * epoch, voltage) memo BM_DeviceFaultCount converges to. The content
+ * never changes, so the index is built by the first iteration only.
  */
 UVOLT_BENCHMARK(BM_DeviceFaultCountFreshJitter)
 {
@@ -170,11 +171,11 @@ UVOLT_BENCHMARK(BM_FleetFanout1Worker) { runFanout(state, 1); }
 UVOLT_BENCHMARK(BM_FleetFanout8Workers) { runFanout(state, 8); }
 
 /**
- * The non-BRAM backends' sweep arithmetic: one iteration counts every
- * fault on the device at Vcrash with fresh jitter each pass (the memo
- * never hits), streaming the generalized mask ladders. HBM's ladders
- * hold whole-lane masks, SRAM's single bits — the two granularities
- * bracket the MaskLadder popcount path.
+ * The non-BRAM backends' per-domain arithmetic: one iteration counts
+ * every fault on the device at Vcrash, domain by domain, with fresh
+ * jitter each pass, streaming each domain's threshold ladders. HBM's
+ * ladders hold whole-lane masks, SRAM's single bits — the two
+ * granularities bracket the vmodel::ThresholdLadder popcount path.
  */
 void
 runMemFaultCount(bench::State &state, const char *name)

@@ -237,12 +237,16 @@ echo "== tier 1: thread-sanitized build (TSan) =="
 # whole fleet suite so the lock-free counter shards and per-thread span
 # buffers are exercised under every scheduling the pool produces.
 # nn_test joined the list with the batched evaluation engine: its
-# pool fan-out writes per-batch slots from worker threads.
+# pool fan-out writes per-batch slots from worker threads. vmodel_test
+# and membackend_test build the lazily built, shared fault order from
+# eight boards at once and run mixed fleets over the fault index.
 cmake -B build-tsan -S . -DUVOLT_SANITIZE=thread
 cmake --build build-tsan -j "$jobs" \
     --target fleet_test resilience_test telemetry_test nn_test \
-    profiler_test
+    profiler_test vmodel_test membackend_test
 UVOLT_TELEMETRY=ON ./build-tsan/tests/fleet_test
+./build-tsan/tests/vmodel_test
+./build-tsan/tests/membackend_test
 UVOLT_TELEMETRY=ON ./build-tsan/tests/telemetry_test
 ./build-tsan/tests/resilience_test
 UVOLT_TELEMETRY=ON ./build-tsan/tests/nn_test \

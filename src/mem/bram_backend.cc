@@ -94,6 +94,12 @@ BramBackend::railPowerW(double rail_v) const
     return power_.bramPower(rail_v);
 }
 
+std::shared_ptr<const vmodel::FaultOrder>
+BramBackend::buildFaultOrder() const
+{
+    return {model_, &model_->faultOrder()};
+}
+
 std::unique_ptr<MemoryDevice>
 BramBackend::clone() const
 {

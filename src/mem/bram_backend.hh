@@ -3,8 +3,9 @@
  * BRAM behind the MemoryDevice interface: a thin adapter over
  * fpga::Device + vmodel::ChipFaultModel. Every fault/readback call
  * delegates 1:1 to the ChipFaultModel paths the goldens were produced
- * with, so a BramBackend is bit-identical to the legacy stack by
- * construction — no fault math is reimplemented here.
+ * with, and the device-wide count indexes the model's own fault order
+ * (the one pmbus::Board uses), so a BramBackend is bit-identical to the
+ * legacy stack by construction — no fault math is reimplemented here.
  */
 
 #ifndef UVOLT_MEM_BRAM_BACKEND_HH
@@ -61,6 +62,10 @@ class BramBackend : public MemoryDevice
     const vmodel::ChipFaultModel &model() const { return *model_; }
 
   private:
+    /** The chip model's own order, aliased: built once per model. */
+    std::shared_ptr<const vmodel::FaultOrder>
+    buildFaultOrder() const override;
+
     std::unique_ptr<fpga::Device> device_;
     std::shared_ptr<const vmodel::ChipFaultModel> model_;
     power::RailPowerModel power_;

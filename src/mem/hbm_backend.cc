@@ -251,6 +251,13 @@ HbmBackend::railPowerW(double rail_v) const
              std::exp(-spec_.leakageSlope * (vnom - rail_v)));
 }
 
+std::shared_ptr<const vmodel::FaultOrder>
+HbmBackend::buildFaultOrder() const
+{
+    return std::make_shared<const vmodel::FaultOrder>(
+        vmodel::FaultOrder::fromLadders(ladder10_, ladder01_));
+}
+
 std::unique_ptr<MemoryDevice>
 HbmBackend::clone() const
 {

@@ -112,13 +112,16 @@ class HbmBackend : public MemoryDevice
     const HbmSpec &spec() const { return spec_; }
 
   private:
+    std::shared_ptr<const vmodel::FaultOrder>
+    buildFaultOrder() const override;
+
     HbmBackend(const HbmBackend &) = default;
 
     HbmSpec spec_;
     PlaneStore planes_;
     std::vector<std::vector<WeakRow>> rows_; // per bank, sorted by row
-    std::vector<MaskLadder> ladder10_;       // 1->0, whole-lane masks
-    std::vector<MaskLadder> ladder01_;       // 0->1
+    std::vector<vmodel::ThresholdLadder> ladder10_; // 1->0, whole-lane masks
+    std::vector<vmodel::ThresholdLadder> ladder01_; // 0->1
 };
 
 } // namespace uvolt::mem

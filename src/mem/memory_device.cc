@@ -1,12 +1,9 @@
 #include "mem/memory_device.hh"
 
 #include <algorithm>
-#include <bit>
-#include <numeric>
 
 #include "fpga/platform.hh"
 #include "util/logging.hh"
-#include "vmodel/chip_fault_model.hh"
 
 namespace uvolt::mem
 {
@@ -39,10 +36,11 @@ MemoryDevice::countFaults(double effective_v) const
     if (memoValid_ && memoEpoch_ == epoch && memoV_ == effective_v)
         return memoTotal_;
 
-    std::uint64_t total = 0;
-    for (std::uint32_t d = 0; d < domainCount(); ++d)
-        total += static_cast<std::uint64_t>(
-            countDomainFaults(d, effective_v));
+    if (!index_.builtFor(epoch)) {
+        index_.rebuild(faultOrder(), epoch,
+                       [this](std::uint32_t d) { return domainWords(d); });
+    }
+    const std::uint64_t total = index_.count(effective_v);
 
     memoValid_ = true;
     memoEpoch_ = epoch;
@@ -51,69 +49,12 @@ MemoryDevice::countFaults(double effective_v) const
     return total;
 }
 
-std::size_t
-MaskLadder::activeCount(double effective_v) const
+const vmodel::FaultOrder &
+MemoryDevice::faultOrder() const
 {
-    // Thresholds descend, so the failing elements are exactly the prefix
-    // for which the shared predicate holds.
-    const auto it = std::partition_point(
-        thresholds.begin(), thresholds.end(), [effective_v](float t) {
-            return vmodel::cellFailsAt(t, effective_v);
-        });
-    return static_cast<std::size_t>(it - thresholds.begin());
-}
-
-void
-MaskLadder::sortDescending()
-{
-    std::vector<std::size_t> order(thresholds.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [this](std::size_t a, std::size_t b) {
-                         return thresholds[a] > thresholds[b];
-                     });
-
-    std::vector<float> t(thresholds.size());
-    std::vector<std::uint32_t> w(words.size());
-    std::vector<std::uint64_t> m(masks.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        t[i] = thresholds[order[i]];
-        w[i] = words[order[i]];
-        m[i] = masks[order[i]];
-    }
-    thresholds = std::move(t);
-    words = std::move(w);
-    masks = std::move(m);
-}
-
-std::uint64_t
-MaskLadder::countFaults(fpga::WordSpan written, bool one_to_zero,
-                        double effective_v) const
-{
-    const std::size_t active = activeCount(effective_v);
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < active; ++i) {
-        const std::uint64_t stored = written[words[i]] & masks[i];
-        // 1->0 elements fault on every stored 1 they cover; 0->1 on
-        // every stored 0. Multi-bit masks (HBM lanes) popcount > 1.
-        const std::uint64_t hit =
-            one_to_zero ? stored : (masks[i] & ~stored);
-        total += static_cast<std::uint64_t>(std::popcount(hit));
-    }
-    return total;
-}
-
-void
-MaskLadder::applyFaults(std::span<std::uint64_t> out, bool one_to_zero,
-                        double effective_v) const
-{
-    const std::size_t active = activeCount(effective_v);
-    for (std::size_t i = 0; i < active; ++i) {
-        if (one_to_zero)
-            out[words[i]] &= ~masks[i];
-        else
-            out[words[i]] |= masks[i];
-    }
+    if (!order_)
+        order_ = buildFaultOrder();
+    return *order_;
 }
 
 void

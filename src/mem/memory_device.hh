@@ -12,11 +12,12 @@
  *    row*16 + col, exactly the fpga::fault_domain.hh layout, so every
  *    packed helper — popcountWords, forEachDiffBit, packRows — works on
  *    every backend),
- *  - a per-polarity threshold ladder: weak elements sorted by
- *    descending failure threshold, so the set active at a voltage is a
- *    prefix found by one binary search, and fault injection/counting is
- *    AND/OR masks + popcount. Backends differ in mask granularity
- *    (BRAM/SRAM: single bits; HBM: whole 16-bit row lanes),
+ *  - a per-domain, per-polarity vmodel::ThresholdLadder: weak elements
+ *    sorted by descending failure threshold, so the set active at a
+ *    voltage is a prefix found by one binary search, and fault
+ *    injection/counting is AND/OR masks + popcount. Backends differ in
+ *    mask granularity (BRAM/SRAM: single bits; HBM: whole 16-bit row
+ *    lanes),
  *  - an effective-voltage law (rail + temperature coefficient + jitter)
  *    and a Vmin/Vcrash envelope, both per technology,
  *  - a rail power model with per-technology constants,
@@ -24,11 +25,16 @@
  *    packed path is property-tested against.
  *
  * Epoch/caching contract: every content mutation bumps a per-device
- * epoch; countFaults() memoizes the device-wide total on (epoch, exact
- * effective voltage). Copies and clones NEVER share epochs or memos
- * with their source — a copy starts with an invalid memo and its own
- * counter, so divergent writes after a copy can never serve a stale
- * total (the Bram::bindEpoch detach rule, generalized).
+ * epoch. countFaults() keeps a vmodel::FaultIndex of the device built
+ * for one epoch — the device-wide fault count as a function of voltage,
+ * rebuilt by one linear pass over the content-independent fault order
+ * when the epoch moves — and memoizes the last total on (epoch, exact
+ * effective voltage) in front of it. Copies and clones NEVER share
+ * epochs, indexes or memos with their source — a copy starts with no
+ * index, an invalid memo and its own counter, so divergent writes after
+ * a copy can never serve a stale total (the Bram::bindEpoch detach
+ * rule, generalized). Only the fault order, which no write can change,
+ * is shared.
  */
 
 #ifndef UVOLT_MEM_MEMORY_DEVICE_HH
@@ -40,6 +46,7 @@
 #include <vector>
 
 #include "fpga/fault_domain.hh"
+#include "vmodel/fault_index.hh"
 
 namespace uvolt::mem
 {
@@ -155,11 +162,20 @@ class MemoryDevice
     readDomainPacked(std::uint32_t domain, double effective_v) const = 0;
 
     /**
-     * Device-wide fault count, memoized on (content epoch, exact
-     * effective voltage). The memo is per-instance and never survives
-     * copy/clone (see the epoch/caching contract above).
+     * Device-wide fault count: one binary search over the device's
+     * fault index, which is rebuilt when the content epoch changed, with
+     * a memo on (content epoch, exact effective voltage) in front. Index
+     * and memo are per-instance and never survive copy/clone (see the
+     * epoch/caching contract above).
      */
     std::uint64_t countFaults(double effective_v) const;
+
+    /**
+     * Every weak element of the device in descending threshold order:
+     * what countFaults() projects onto the content of each epoch. Built
+     * on first use, once per device; clones share it.
+     */
+    const vmodel::FaultOrder &faultOrder() const;
 
     // --- power -----------------------------------------------------------
 
@@ -180,64 +196,38 @@ class MemoryDevice
     {
     }
 
-    /** Copies carry the traits but start with an INVALID memo. */
-    MemoryDevice(const MemoryDevice &other) : traits_(other.traits_) {}
+    /**
+     * Copies carry the traits and the content-independent fault order
+     * but start with no index and an INVALID memo.
+     */
+    MemoryDevice(const MemoryDevice &other)
+        : traits_(other.traits_), order_(other.order_)
+    {
+    }
     MemoryDevice &
     operator=(const MemoryDevice &other)
     {
         traits_ = other.traits_;
+        order_ = other.order_;
+        index_ = {};
         memoValid_ = false;
         return *this;
     }
 
+    /** Build the device's fault order (faultOrder() calls it once). */
+    virtual std::shared_ptr<const vmodel::FaultOrder>
+    buildFaultOrder() const = 0;
+
   private:
     DeviceTraits traits_;
+
+    mutable std::shared_ptr<const vmodel::FaultOrder> order_;
+    mutable vmodel::FaultIndex index_;
 
     mutable bool memoValid_ = false;
     mutable std::uint64_t memoEpoch_ = 0;
     mutable double memoV_ = 0.0;
     mutable std::uint64_t memoTotal_ = 0;
-};
-
-/**
- * Generalized threshold ladder: weak elements of one domain and one
- * polarity in SoA layout, sorted by descending failure threshold. The
- * vmodel::ThresholdLadder shape with the single-bit restriction lifted:
- * a mask may cover a whole 16-bit row lane (HBM's coarser granularity),
- * so counting popcounts the masked words instead of assuming 0-or-1.
- */
-struct MaskLadder
-{
-    std::vector<float> thresholds;    ///< descending
-    std::vector<std::uint32_t> words; ///< packed word index per element
-    std::vector<std::uint64_t> masks; ///< mask per element (>= 1 bit)
-
-    /** Elements active (failing) at @a effective_v: the prefix length,
-     *  by binary search over the shared cellFailsAt() predicate. */
-    std::size_t activeCount(double effective_v) const;
-
-    std::size_t size() const { return thresholds.size(); }
-
-    void
-    push(float threshold_v, std::uint32_t word, std::uint64_t mask)
-    {
-        thresholds.push_back(threshold_v);
-        words.push_back(word);
-        masks.push_back(mask);
-    }
-
-    /** Stable-sort the three arrays by descending threshold. */
-    void sortDescending();
-
-    /** Faults the active prefix produces against @a written: 1->0
-     *  elements fault where the stored bit is 1, 0->1 where it is 0. */
-    std::uint64_t countFaults(fpga::WordSpan written, bool one_to_zero,
-                              double effective_v) const;
-
-    /** Inject the active prefix into @a words in place (AND for 1->0,
-     *  OR for 0->1). */
-    void applyFaults(std::span<std::uint64_t> words, bool one_to_zero,
-                     double effective_v) const;
 };
 
 /**

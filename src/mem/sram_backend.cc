@@ -258,6 +258,13 @@ SramMorsBackend::railPowerW(double rail_v) const
              std::exp(-spec_.leakageSlope * (vnom - rail_v)));
 }
 
+std::shared_ptr<const vmodel::FaultOrder>
+SramMorsBackend::buildFaultOrder() const
+{
+    return std::make_shared<const vmodel::FaultOrder>(
+        vmodel::FaultOrder::fromLadders(ladder10_, ladder01_));
+}
+
 std::unique_ptr<MemoryDevice>
 SramMorsBackend::clone() const
 {

@@ -109,13 +109,16 @@ class SramMorsBackend : public MemoryDevice
     const SramSpec &spec() const { return spec_; }
 
   private:
+    std::shared_ptr<const vmodel::FaultOrder>
+    buildFaultOrder() const override;
+
     SramMorsBackend(const SramMorsBackend &) = default;
 
     SramSpec spec_;
     PlaneStore planes_;
     std::vector<std::vector<WeakCell>> cells_; // per array, sorted
-    std::vector<MaskLadder> ladder10_;         // 1->0, single-bit masks
-    std::vector<MaskLadder> ladder01_;         // 0->1
+    std::vector<vmodel::ThresholdLadder> ladder10_; // 1->0, single-bit masks
+    std::vector<vmodel::ThresholdLadder> ladder01_; // 0->1
 };
 
 } // namespace uvolt::mem

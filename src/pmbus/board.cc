@@ -378,13 +378,19 @@ Board::tryCountDeviceFaults() const
                          spec().name, 0, vccBramMv());
     }
     const double v = effectiveVoltage();
-    if (countMemoValid_ && countMemoEpoch_ == device_.contentEpoch() &&
-        countMemoV_ == v) {
+    const std::uint64_t epoch = device_.contentEpoch();
+    if (countMemoValid_ && countMemoEpoch_ == epoch && countMemoV_ == v)
         return countMemoTotal_;
+    if (!countIndex_.builtFor(epoch)) {
+        const auto brams = device_.brams();
+        countIndex_.rebuild(faults_->faultOrder(), epoch,
+                            [brams](std::uint32_t b) {
+                                return brams[b].words();
+                            });
     }
-    const std::uint64_t total = faults_->countDeviceFaults(device_, v);
+    const std::uint64_t total = countIndex_.count(v);
     countMemoValid_ = true;
-    countMemoEpoch_ = device_.contentEpoch();
+    countMemoEpoch_ = epoch;
     countMemoV_ = v;
     countMemoTotal_ = total;
     return total;

@@ -217,11 +217,14 @@ class Board
     /**
      * Device-wide fault count for the run in progress: the sweep inner
      * loop. Equals summing tryCountBramFaults() over the pool bit for
-     * bit — including the per-BRAM probe accounting and the injected
-     * spurious-crash schedule when a harsh environment is attached —
-     * but on a quiet schedule it streams the packed threshold ladders
-     * and memoizes on (content epoch, effective voltage), so repeated
-     * runs at identical conditions cost a pair of compares.
+     * bit — including the per-BRAM probe accounting. While an injected
+     * spurious-crash schedule is armed it probes BRAM by BRAM, so the
+     * crash lands where a one-BRAM-at-a-time caller would see it. On a
+     * quiet schedule it reads the board's vmodel::FaultIndex: rebuilt
+     * by one linear pass over the chip's fault order when the content
+     * epoch changed, then one binary search per effective voltage. A
+     * (content epoch, effective voltage) memo sits in front, so
+     * repeated runs at identical conditions cost a pair of compares.
      */
     Expected<std::uint64_t> tryCountDeviceFaults() const;
 
@@ -262,6 +265,9 @@ class Board
     mutable std::uint64_t countMemoEpoch_ = 0;
     mutable double countMemoV_ = 0.0;
     mutable std::uint64_t countMemoTotal_ = 0;
+    // The device's fault count as a function of voltage for the content
+    // epoch it was built at.
+    mutable vmodel::FaultIndex countIndex_;
     Rng runRng_;
 };
 

@@ -9,6 +9,7 @@
 #include "harness/checkpoint.hh"
 #include "harness/fvm.hh"
 #include "harness/ledger.hh"
+#include "mem/catalog.hh"
 #include "util/flight_recorder.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
@@ -289,8 +290,19 @@ UvoltServer::admit(Request request)
 Expected<std::future<Expected<CharacterizeResponse>>>
 UvoltServer::submitCharacterize(CharacterizeRequest request)
 {
-    if (request.runsPerLevel <= 0)
-        fatal("submitCharacterize: runsPerLevel must be positive");
+    // Refused here, before admission: the worker that would run it
+    // only knows how to fail the whole process on these inputs.
+    if (!mem::knownDevice(request.platform)) {
+        return makeError(Errc::invalidRequest,
+                         "characterize: unknown platform '{}'",
+                         request.platform);
+    }
+    if (request.runsPerLevel <= 0) {
+        return makeError(Errc::invalidRequest,
+                         "characterize: runsPerLevel must be positive, "
+                         "got {}",
+                         request.runsPerLevel);
+    }
     return admit<CharacterizeRequest, CharacterizeResponse>(
         std::move(request));
 }
@@ -300,9 +312,10 @@ UvoltServer::submitClassify(ClassifyRequest request)
 {
     if (request.sampleCount == 0 ||
         request.samples.size() % request.sampleCount != 0) {
-        fatal("submitClassify: {} sample values do not divide into {} "
-              "samples",
-              request.samples.size(), request.sampleCount);
+        return makeError(Errc::invalidRequest,
+                         "classify: {} sample values do not divide into "
+                         "{} samples",
+                         request.samples.size(), request.sampleCount);
     }
     if (!config_.modelProvider)
         fatal("submitClassify: server has no model provider");

@@ -243,13 +243,18 @@ class UvoltServer
 
     /**
      * Admit a characterization campaign. Synchronous refusals come
-     * back as Errors (queueFull, serverStopped, loadShed); an admitted
-     * request resolves its future exactly once.
+     * back as Errors (invalidRequest for an unknown platform or a
+     * non-positive runsPerLevel; queueFull, serverStopped, loadShed);
+     * an admitted request resolves its future exactly once.
      */
     Expected<std::future<Expected<CharacterizeResponse>>>
     submitCharacterize(CharacterizeRequest request);
 
-    /** Admit a classification batch; same admission contract. */
+    /**
+     * Admit a classification batch; same admission contract, with
+     * invalidRequest when the sample values do not divide into
+     * sampleCount samples.
+     */
     Expected<std::future<Expected<ClassifyResponse>>>
     submitClassify(ClassifyRequest request);
 

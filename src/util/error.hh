@@ -40,6 +40,7 @@ enum class Errc
     serverStopped,     ///< server draining/stopped; request not taken
     loadShed,          ///< degraded server shed low-priority work
     unknownFlag,       ///< command line used an undeclared/malformed flag
+    invalidRequest,    ///< malformed request refused before admission
 };
 
 /** Stable short name of an error code (for messages and logs). */

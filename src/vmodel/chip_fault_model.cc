@@ -1,7 +1,6 @@
 #include "vmodel/chip_fault_model.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <numeric>
 #include <unordered_set>
@@ -11,20 +10,6 @@
 
 namespace uvolt::vmodel
 {
-
-std::size_t
-ThresholdLadder::activeCount(double effective_v) const
-{
-    // Thresholds are sorted descending, so the cells that fail at this
-    // voltage are a prefix. The boundary is cellFailsAt() — the one
-    // shared predicate — so equality (healthy) resolves identically
-    // here and in the scalar reference walker.
-    const auto end = std::partition_point(
-        thresholds.begin(), thresholds.end(), [effective_v](float t) {
-            return cellFailsAt(t, effective_v);
-        });
-    return static_cast<std::size_t>(end - thresholds.begin());
-}
 
 ChipFaultModel::ChipFaultModel(const fpga::PlatformSpec &spec,
                                const fpga::Floorplan &floorplan,
@@ -152,11 +137,8 @@ ChipFaultModel::buildLadders()
                 static_cast<std::uint32_t>(cell.row) *
                         static_cast<std::uint32_t>(fpga::bramCols) +
                     cell.col);
-            ThresholdLadder &ladder =
-                cell.oneToZero ? ladder10_[b] : ladder01_[b];
-            ladder.thresholds.push_back(cell.thresholdV);
-            ladder.words.push_back(addr.wordIndex());
-            ladder.masks.push_back(addr.wordMask());
+            (cell.oneToZero ? ladder10_[b] : ladder01_[b])
+                .push(cell.thresholdV, addr.wordIndex(), addr.wordMask());
         }
     }
 }
@@ -169,20 +151,13 @@ ChipFaultModel::weakCells(std::uint32_t bram) const
     return cells_[bram];
 }
 
-const ThresholdLadder &
-ChipFaultModel::ladderOneToZero(std::uint32_t bram) const
+const FaultOrder &
+ChipFaultModel::faultOrder() const
 {
-    if (bram >= ladder10_.size())
-        fatal("ladder: BRAM {} out of pool of {}", bram, ladder10_.size());
-    return ladder10_[bram];
-}
-
-const ThresholdLadder &
-ChipFaultModel::ladderZeroToOne(std::uint32_t bram) const
-{
-    if (bram >= ladder01_.size())
-        fatal("ladder: BRAM {} out of pool of {}", bram, ladder01_.size());
-    return ladder01_[bram];
+    std::call_once(orderOnce_, [this] {
+        order_ = FaultOrder::fromLadders(ladder10_, ladder01_);
+    });
+    return order_;
 }
 
 double
@@ -204,14 +179,8 @@ ChipFaultModel::applyFaults(std::span<std::uint64_t> words,
     if (bram >= ladder10_.size())
         fatal("applyFaults: BRAM {} out of pool of {}", bram,
               ladder10_.size());
-    const ThresholdLadder &drop = ladder10_[bram];
-    const std::size_t drops = drop.activeCount(effective_v);
-    for (std::size_t i = 0; i < drops; ++i)
-        words[drop.words[i]] &= ~drop.masks[i];
-    const ThresholdLadder &rise = ladder01_[bram];
-    const std::size_t rises = rise.activeCount(effective_v);
-    for (std::size_t i = 0; i < rises; ++i)
-        words[rise.words[i]] |= rise.masks[i];
+    ladder10_[bram].applyFaults(words, true, effective_v);
+    ladder01_[bram].applyFaults(words, false, effective_v);
 }
 
 std::vector<std::uint64_t>
@@ -239,18 +208,9 @@ ChipFaultModel::countFaults(fpga::WordSpan written, std::uint32_t bram,
     if (bram >= ladder10_.size())
         fatal("countFaults: BRAM {} out of pool of {}", bram,
               ladder10_.size());
-    int faults = 0;
-    // Single-bit masks, so each popcount contributes 0 or 1: a 1->0 cell
-    // faults when the written bit is set, a 0->1 cell when it is clear.
-    const ThresholdLadder &drop = ladder10_[bram];
-    const std::size_t drops = drop.activeCount(effective_v);
-    for (std::size_t i = 0; i < drops; ++i)
-        faults += std::popcount(written[drop.words[i]] & drop.masks[i]);
-    const ThresholdLadder &rise = ladder01_[bram];
-    const std::size_t rises = rise.activeCount(effective_v);
-    for (std::size_t i = 0; i < rises; ++i)
-        faults += std::popcount(~written[rise.words[i]] & rise.masks[i]);
-    return faults;
+    return static_cast<int>(
+        ladder10_[bram].countFaults(written, true, effective_v) +
+        ladder01_[bram].countFaults(written, false, effective_v));
 }
 
 int
@@ -259,18 +219,6 @@ ChipFaultModel::countBramFaults(const fpga::Bram &written,
                                 double effective_v) const
 {
     return countFaults(written.words(), bram, effective_v);
-}
-
-std::uint64_t
-ChipFaultModel::countDeviceFaults(const fpga::Device &device,
-                                  double effective_v) const
-{
-    std::uint64_t total = 0;
-    std::uint32_t b = 0;
-    for (const fpga::Bram &bram : device.brams())
-        total += static_cast<std::uint64_t>(
-            countFaults(bram.words(), b++, effective_v));
-    return total;
 }
 
 int

@@ -25,6 +25,7 @@
 #define UVOLT_VMODEL_CHIP_FAULT_MODEL_HH
 
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "fpga/fault_domain.hh"
 #include "fpga/floorplan.hh"
 #include "fpga/platform.hh"
+#include "vmodel/fault_index.hh"
 #include "vmodel/process_variation.hh"
 
 namespace uvolt::vmodel
@@ -49,43 +51,6 @@ struct WeakCell
 
 /** Share of weak cells whose failure polarity is "1"->"0". */
 constexpr double oneToZeroShare = 0.999;
-
-/**
- * THE fault predicate: a weak element with threshold @a threshold_v
- * fails at effective voltage @a effective_v iff the effective voltage
- * is *strictly below* the threshold. Thresholds are stored as float and
- * promoted to double exactly (every float is representable), so the
- * comparison is unambiguous — and a cell whose threshold equals the
- * probe voltage is HEALTHY. Every fault-counting path (the packed
- * ladder's partition_point, the scalar reference walkers, and the
- * mem:: backends' generalized ladders) must route through this one
- * function so the exact-equality boundary can never diverge between
- * implementations.
- */
-inline bool
-cellFailsAt(float threshold_v, double effective_v)
-{
-    return effective_v < static_cast<double>(threshold_v);
-}
-
-/**
- * Precomputed packed threshold masks of one BRAM and one polarity:
- * weak cells sorted by descending failure threshold in SoA layout, so
- * the cells active at voltage v are exactly a prefix (found by one
- * binary search) and fault injection/counting over that prefix is
- * AND/XOR + std::popcount against the packed data words.
- */
-struct ThresholdLadder
-{
-    std::vector<float> thresholds;     ///< descending
-    std::vector<std::uint32_t> words;  ///< packed word index per cell
-    std::vector<std::uint64_t> masks;  ///< single-bit mask per cell
-
-    /** Cells whose threshold exceeds @a effective_v (active prefix). */
-    std::size_t activeCount(double effective_v) const;
-
-    std::size_t size() const { return thresholds.size(); }
-};
 
 /** Reference ambient for all calibration anchors (degC). */
 constexpr double referenceTempC = 50.0;
@@ -163,14 +128,6 @@ class ChipFaultModel
                     double effective_v) const;
 
     /**
-     * Device-wide fault count at one effective voltage: the sweep inner
-     * loop. Streams every BRAM's packed words against its threshold
-     * ladders; no per-bitcell or per-call overhead.
-     */
-    std::uint64_t countDeviceFaults(const fpga::Device &device,
-                                    double effective_v) const;
-
-    /**
      * The legacy scalar walker: per weak cell, one threshold compare and
      * one bitcell probe. Kept as the executable specification the packed
      * path is property-tested against (and as the BitAddress-based
@@ -180,9 +137,13 @@ class ChipFaultModel
                                  std::uint32_t bram,
                                  double effective_v) const;
 
-    /** The precomputed packed ladders of one BRAM (testing/diagnostics). */
-    const ThresholdLadder &ladderOneToZero(std::uint32_t bram) const;
-    const ThresholdLadder &ladderZeroToOne(std::uint32_t bram) const;
+    /**
+     * Every weak cell of the chip in one descending-threshold order: what
+     * a Board's FaultIndex projects onto its content. Built on first use
+     * (once, even under concurrent first calls from boards sharing this
+     * model), so constructing a model or a Board costs nothing extra.
+     */
+    const FaultOrder &faultOrder() const;
 
     /**
      * Expected observable fault count for the whole chip at the given
@@ -204,6 +165,8 @@ class ChipFaultModel
     std::vector<ThresholdLadder> ladder10_;    // 1->0, descending thr
     std::vector<ThresholdLadder> ladder01_;    // 0->1, descending thr
     std::size_t totalWeakCells_ = 0;
+    mutable std::once_flag orderOnce_;
+    mutable FaultOrder order_;
 };
 
 } // namespace uvolt::vmodel

@@ -2,7 +2,8 @@
  * @file
  * Tests for the multi-technology MemoryDevice abstraction: catalog
  * resolution, interface conformance of all three backends, the
- * epoch/memo isolation contract of copies and clones, the per-backend
+ * epoch/memo isolation contract of copies and clones, the device-wide
+ * fault index against the scalar reference walkers, the per-backend
  * fault laws (HBM whole-lane granularity, MoRS spatial clustering), the
  * backend-generic sweep with slicing/resume, and the heterogeneous
  * fleet path through Campaign/FleetEngine — bit-identical at any
@@ -18,6 +19,7 @@
 #include <set>
 #include <vector>
 
+#include "fault_index_probes.hh"
 #include "fpga/device.hh"
 #include "fpga/fault_domain.hh"
 #include "fpga/platform.hh"
@@ -31,6 +33,7 @@
 #include "mem/sram_backend.hh"
 #include "mem/sweep.hh"
 #include "pmbus/board.hh"
+#include "util/rng.hh"
 #include "util/thread_pool.hh"
 #include "vmodel/chip_fault_model.hh"
 
@@ -227,6 +230,130 @@ TEST_P(BackendConformance, CloneDivergenceNeverSharesMemoizedCounts)
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
                          ::testing::ValuesIn(kOnePerTech),
+                         [](const auto &info) {
+                             std::string name = info.param;
+                             for (auto &c : name)
+                                 if (c == '-')
+                                     c = '_';
+                             return name;
+                         });
+
+// ---------------------------------------------------------------------
+// The device-wide fault index against the reference walkers
+// ---------------------------------------------------------------------
+
+/** The executable spec: the scalar walker summed over every domain. */
+std::uint64_t
+referenceCount(const MemoryDevice &device, double v)
+{
+    std::uint64_t total = 0;
+    for (std::uint32_t d = 0; d < device.domainCount(); ++d)
+        total += static_cast<std::uint64_t>(
+            device.countDomainFaultsReference(d, v));
+    return total;
+}
+
+/** Content under test: a lane pattern, or random words when negative. */
+void
+fillContent(MemoryDevice &device, int pattern, std::uint64_t seed = 1)
+{
+    if (pattern >= 0) {
+        device.fill(static_cast<std::uint16_t>(pattern));
+        return;
+    }
+    Rng rng(combineSeeds(hashSeed("fault-index-content"), seed));
+    std::vector<std::uint64_t> words(device.traits().wordsPerDomain);
+    for (std::uint32_t d = 0; d < device.domainCount(); ++d) {
+        for (auto &word : words)
+            word = rng();
+        device.assignDomainWords(d, words);
+    }
+}
+
+/** Every count of @a device at @a probes equals the reference walk. */
+void
+expectCountsMatchReference(const MemoryDevice &device,
+                           const std::vector<double> &probes,
+                           const std::string &what)
+{
+    for (double v : probes) {
+        ASSERT_EQ(device.countFaults(v), referenceCount(device, v))
+            << device.name() << " " << what << " at " << v;
+    }
+}
+
+/** 0x0000 leaves only the 0->1 elements observable. */
+const int kContents[] = {0xFFFF, 0xAAAA, 0x0000, -1};
+
+class FaultIndexProperty : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(FaultIndexProperty, CountEqualsTheReferenceWalkerAtEveryBoundary)
+{
+    auto device = makeDevice(GetParam());
+    const vmodel::FaultOrder &order = device->faultOrder();
+    ASSERT_GT(order.size(), 0u);
+    ASSERT_TRUE(std::is_sorted(order.thresholds.rbegin(),
+                               order.thresholds.rend()));
+    const auto probes =
+        vmodel::boundaryProbes(order, mv(device->traits().vminMv));
+    for (int content : kContents) {
+        fillContent(*device, content);
+        expectCountsMatchReference(*device, probes,
+                                   "content " + std::to_string(content));
+        EXPECT_EQ(device->countFaults(probes.front()), 0u);
+    }
+}
+
+TEST_P(FaultIndexProperty, MutationsAndClonesRebuildTheirOwnIndex)
+{
+    auto source = makeDevice(GetParam());
+    const auto probes = vmodel::boundaryProbes(
+        source->faultOrder(), mv(source->traits().vminMv));
+    const double v = mv(source->traits().vcrashMv);
+    source->fill(0xFFFF);
+    const std::uint64_t all_ones = source->countFaults(v);
+    ASSERT_GT(all_ones, 0u);
+
+    // One domain cleared at the same voltage: the epoch bump must
+    // rebuild the index, not replay the all-ones total.
+    std::uint32_t busiest = 0;
+    for (std::uint32_t d = 0; d < source->domainCount(); ++d) {
+        if (source->countDomainFaults(d, v) >
+            source->countDomainFaults(busiest, v))
+            busiest = d;
+    }
+    const std::vector<std::uint64_t> zeros(
+        source->traits().wordsPerDomain, 0);
+    source->assignDomainWords(busiest, zeros);
+    EXPECT_EQ(source->countFaults(v), referenceCount(*source, v));
+    EXPECT_LT(source->countFaults(v), all_ones);
+
+    // A clone counts its own content through its own index, before and
+    // after it diverges; the source keeps its own.
+    auto clone = source->clone();
+    expectCountsMatchReference(*clone, probes, "fresh clone");
+    fillContent(*clone, -1, 7);
+    expectCountsMatchReference(*clone, probes, "diverged clone");
+    expectCountsMatchReference(*source, probes, "source after clone");
+    source->fill(0xAAAA);
+    expectCountsMatchReference(*source, probes, "refilled source");
+    expectCountsMatchReference(*clone, probes, "clone after source");
+}
+
+std::vector<std::string>
+indexedDevices()
+{
+    // Every HBM and SRAM catalog device, plus one BRAM die through its
+    // backend (the vmodel suite covers all four dies).
+    std::vector<std::string> names = extendedCatalogNames();
+    names.push_back("ZC702");
+    return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDevices, FaultIndexProperty,
+                         ::testing::ValuesIn(indexedDevices()),
                          [](const auto &info) {
                              std::string name = info.param;
                              for (auto &c : name)

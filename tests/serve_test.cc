@@ -385,6 +385,133 @@ TEST(ServeAdmission, DegradedServerShedsLowPriorityOnly)
     server.stop();
 }
 
+// --- malformed requests --------------------------------------------------
+
+CharacterizeRequest
+goodCharacterize(double ambient_c)
+{
+    CharacterizeRequest request;
+    request.platform = "ZC702";
+    request.runsPerLevel = 3;
+    request.ambientC = ambient_c;
+    return request;
+}
+
+/**
+ * Offer @a hostile (a callable submitting one malformed request and
+ * returning its admission code) eight times while another thread feeds
+ * good characterize and classify requests to the same server. Every
+ * hostile offer must be refused with invalidRequest and never admitted;
+ * the good answers must be bit-identical to a server that saw only good
+ * traffic; every admitted request must be answered exactly once.
+ */
+template <typename Hostile>
+void
+refusedAmidGoodTraffic(Hostile &&hostile)
+{
+    const std::array<double, 2> ambients{45.0, 70.0};
+    const auto config = [] {
+        ServerConfig config;
+        config.workers = 2;
+        config.modelProvider = fixedProvider();
+        return config;
+    };
+
+    std::vector<SweepResult> clean_sweeps;
+    std::vector<std::vector<int>> clean_classes;
+    {
+        UvoltServer clean(config());
+        for (double ambient : ambients) {
+            auto sweep = clean.submitCharacterize(goodCharacterize(ambient));
+            ASSERT_TRUE(sweep.ok());
+            clean_sweeps.push_back(sweep.value().get().take().sweep);
+        }
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            auto batch = clean.submitClassify(forestRequest(6, seed, 850));
+            ASSERT_TRUE(batch.ok());
+            clean_classes.push_back(batch.value().get().take().classes);
+        }
+        clean.stop();
+    }
+
+    UvoltServer server(config());
+    std::vector<std::future<Expected<CharacterizeResponse>>> sweeps;
+    std::vector<std::future<Expected<ClassifyResponse>>> batches;
+    std::thread good([&] {
+        for (double ambient : ambients) {
+            auto admitted =
+                server.submitCharacterize(goodCharacterize(ambient));
+            if (admitted.ok())
+                sweeps.push_back(std::move(admitted.value()));
+        }
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            auto admitted =
+                server.submitClassify(forestRequest(6, seed, 850));
+            if (admitted.ok())
+                batches.push_back(std::move(admitted.value()));
+        }
+    });
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(hostile(server), Errc::invalidRequest) << i;
+    good.join();
+
+    ASSERT_EQ(sweeps.size(), ambients.size());
+    ASSERT_EQ(batches.size(), clean_classes.size());
+    for (std::size_t i = 0; i < sweeps.size(); ++i) {
+        auto response = sweeps[i].get();
+        ASSERT_TRUE(response.ok()) << response.error().message;
+        expectSameSweep(response.value().sweep, clean_sweeps[i]);
+    }
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+        auto response = batches[i].get();
+        ASSERT_TRUE(response.ok()) << response.error().message;
+        EXPECT_EQ(response.value().classes, clean_classes[i]);
+    }
+    server.drain();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.admitted, sweeps.size() + batches.size());
+    EXPECT_EQ(stats.completed, stats.admitted);
+    EXPECT_EQ(stats.completed + stats.failed, stats.admitted);
+    server.stop();
+}
+
+TEST(ServeMalformed, UnknownPlatformIsRefusedNotAdmitted)
+{
+    refusedAmidGoodTraffic([](UvoltServer &server) {
+        CharacterizeRequest typo = goodCharacterize(50.0);
+        typo.platform = "VC70";
+        auto refused = server.submitCharacterize(std::move(typo));
+        if (!refused.ok()) {
+            EXPECT_NE(refused.error().message.find("VC70"),
+                      std::string::npos);
+        }
+        return refused.code();
+    });
+}
+
+TEST(ServeMalformed, NonPositiveRunsPerLevelIsRefused)
+{
+    int offer = 0;
+    refusedAmidGoodTraffic([&offer](UvoltServer &server) {
+        CharacterizeRequest request = goodCharacterize(50.0);
+        request.runsPerLevel = -offer++; // 0, then negatives
+        return server.submitCharacterize(std::move(request)).code();
+    });
+}
+
+TEST(ServeMalformed, MisShapedClassifyPayloadIsRefused)
+{
+    int offer = 0;
+    refusedAmidGoodTraffic([&offer](UvoltServer &server) {
+        ClassifyRequest request = forestRequest(4, 9, 850);
+        if (offer++ % 2 == 0)
+            request.samples.pop_back(); // 4 samples minus one value
+        else
+            request.sampleCount = 0;
+        return server.submitClassify(std::move(request)).code();
+    });
+}
+
 // --- deadlines -----------------------------------------------------------
 
 TEST(ServeDeadline, ExpiredRequestFailsDeadlineExceeded)

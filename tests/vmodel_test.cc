@@ -3,17 +3,24 @@
  * Unit tests for the fault model: calibration of the vulnerability
  * field, determinism of the per-chip weak-cell map, the empirical laws
  * of Section II (exponential growth, flip polarity, SAFE-region
- * cleanliness), and the ITD temperature shift.
+ * cleanliness), the ITD temperature shift, and the device-wide fault
+ * index against the scalar reference walker.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <latch>
 #include <numeric>
+#include <thread>
 
+#include "fault_index_probes.hh"
 #include "fpga/device.hh"
 #include "fpga/platform.hh"
+#include "pmbus/board.hh"
+#include "util/rng.hh"
 #include "vmodel/chip_fault_model.hh"
+#include "vmodel/fault_index.hh"
 #include "vmodel/process_variation.hh"
 
 namespace uvolt::vmodel
@@ -29,6 +36,19 @@ Floorplan
 planOf(const PlatformSpec &spec)
 {
     return Floorplan::columnGrid(spec.bramCount, spec.columnHeight);
+}
+
+/** Device-wide count through a fresh index over the current content. */
+std::uint64_t
+indexedCount(const ChipFaultModel &model, const fpga::Device &device,
+             double v)
+{
+    FaultIndex index;
+    index.rebuild(model.faultOrder(), device.contentEpoch(),
+                  [&device](std::uint32_t b) {
+                      return device.bram(b).words();
+                  });
+    return index.count(v);
 }
 
 TEST(ProcessVariation, Deterministic)
@@ -285,7 +305,7 @@ TEST(ChipFaultModel, ParityBitsNeverLeakIntoFaultCounts)
     device.fillAll(0xFFFF);
     const double v = spec.calib.bramVcrashMv / 1000.0;
 
-    const std::uint64_t device_before = model.countDeviceFaults(device, v);
+    const std::uint64_t device_before = indexedCount(model, device, v);
     const int bram_before = model.countBramFaults(device.bram(0), 0, v);
     const auto packed_before = model.readBramPacked(device.bram(0), 0, v);
     ASSERT_GT(device_before, 0u);
@@ -298,7 +318,7 @@ TEST(ChipFaultModel, ParityBitsNeverLeakIntoFaultCounts)
     }
     EXPECT_GT(device.bram(0).parityOnes(), 0);
 
-    EXPECT_EQ(model.countDeviceFaults(device, v), device_before);
+    EXPECT_EQ(indexedCount(model, device, v), device_before);
     EXPECT_EQ(model.countBramFaults(device.bram(0), 0, v), bram_before);
     EXPECT_EQ(model.countBramFaultsReference(device.bram(0), 0, v),
               bram_before);
@@ -399,6 +419,154 @@ TEST(ChipFaultModel, CellAtExactProbeVoltageIsHealthyOnBothPaths)
     // The predicate itself pins the boundary.
     EXPECT_FALSE(cellFailsAt(threshold, exactly));
     EXPECT_TRUE(cellFailsAt(threshold, just_below));
+}
+
+// ---------------------------------------------------------------------
+// The device-wide fault index
+// ---------------------------------------------------------------------
+
+/** The executable spec: the scalar walker summed over every BRAM. */
+std::uint64_t
+referenceCount(const ChipFaultModel &model, const fpga::Device &device,
+               double v)
+{
+    std::uint64_t total = 0;
+    for (std::uint32_t b = 0; b < device.bramCount(); ++b)
+        total += static_cast<std::uint64_t>(
+            model.countBramFaultsReference(device.bram(b), b, v));
+    return total;
+}
+
+/** Content under test: a lane pattern, or random words when negative. */
+void
+fillContent(fpga::Device &device, int pattern)
+{
+    if (pattern >= 0) {
+        device.fillAll(static_cast<std::uint16_t>(pattern));
+        return;
+    }
+    Rng rng(hashSeed("fault-index-content"));
+    std::vector<std::uint64_t> words(fpga::bramWords);
+    for (std::uint32_t b = 0; b < device.bramCount(); ++b) {
+        for (auto &word : words)
+            word = rng();
+        device.bram(b).assignWords(words);
+    }
+}
+
+/** 0x0000 leaves only the 0->1 cells observable. */
+const int kContents[] = {0xFFFF, 0xAAAA, 0x0000, -1};
+
+class FaultIndexProperty : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(FaultIndexProperty, CountEqualsTheReferenceWalkerAtEveryBoundary)
+{
+    const PlatformSpec &spec = findPlatform(GetParam());
+    const auto model = pmbus::sharedChipModel(spec);
+    const FaultOrder &order = model->faultOrder();
+    ASSERT_EQ(order.size(), model->totalWeakCells());
+    ASSERT_TRUE(std::is_sorted(order.thresholds.rbegin(),
+                               order.thresholds.rend()));
+    const auto probes =
+        boundaryProbes(order, spec.calib.bramVminMv / 1000.0);
+
+    fpga::Device device(spec);
+    for (int content : kContents) {
+        fillContent(device, content);
+        FaultIndex index;
+        index.rebuild(order, device.contentEpoch(),
+                      [&device](std::uint32_t b) {
+                          return device.bram(b).words();
+                      });
+        for (double v : probes) {
+            ASSERT_EQ(index.count(v), referenceCount(*model, device, v))
+                << GetParam() << " content " << content << " at " << v;
+        }
+        EXPECT_EQ(index.count(probes.front()), 0u);
+        if (content == 0xFFFF) {
+            EXPECT_GT(index.count(probes.back()), 0u);
+        }
+    }
+}
+
+TEST_P(FaultIndexProperty, BoardRebuildsTheIndexWhenContentChanges)
+{
+    const PlatformSpec &spec = findPlatform(GetParam());
+    pmbus::Board board(spec, pmbus::sharedChipModel(spec));
+    board.setVccBramMv(spec.calib.bramVcrashMv);
+    board.startReferenceRun();
+    const double v = board.effectiveVoltage();
+    const ChipFaultModel &model = board.faultModel();
+
+    board.device().fillAll(0xFFFF);
+    const std::uint64_t all_ones = board.countDeviceFaults();
+    EXPECT_EQ(all_ones, referenceCount(model, board.device(), v));
+    ASSERT_GT(all_ones, 0u);
+
+    // Same voltage, new epoch: neither the memo nor the index may
+    // answer for the old content.
+    std::uint32_t busiest = 0;
+    for (std::uint32_t b = 0; b < spec.bramCount; ++b) {
+        if (model.weakCells(b).size() > model.weakCells(busiest).size())
+            busiest = b;
+    }
+    ASSERT_GT(model.countBramFaultsReference(board.device().bram(busiest),
+                                             busiest, v),
+              0);
+    board.device().bram(busiest).fill(0x0000);
+    const std::uint64_t one_cleared = board.countDeviceFaults();
+    EXPECT_EQ(one_cleared, referenceCount(model, board.device(), v));
+    EXPECT_LT(one_cleared, all_ones);
+
+    for (int content : kContents) {
+        fillContent(board.device(), content);
+        EXPECT_EQ(board.countDeviceFaults(),
+                  referenceCount(model, board.device(), v))
+            << GetParam() << " content " << content;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dies, FaultIndexProperty,
+                         ::testing::Values("VC707", "ZC702", "KC705-A",
+                                           "KC705-B"));
+
+TEST(FaultIndex, ConcurrentFirstCountsBuildTheSharedOrderOnce)
+{
+    // A model no other test builds, so its lazy order is first built
+    // here, by eight boards counting at the same moment.
+    const PlatformSpec &spec = findPlatform("KC705-A");
+    VariationParams params;
+    params.meanWeakColumns = 2.5;
+    const auto model = pmbus::sharedChipModel(spec, params);
+
+    constexpr int threads = 8;
+    std::vector<std::uint64_t> counts(threads, 0);
+    std::latch start(threads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+            pmbus::Board board(spec, model);
+            board.device().fillAll(0xFFFF);
+            board.setVccBramMv(spec.calib.bramVcrashMv);
+            board.startReferenceRun();
+            start.arrive_and_wait();
+            counts[static_cast<std::size_t>(t)] =
+                board.countDeviceFaults();
+        });
+    }
+    for (auto &worker : workers)
+        worker.join();
+
+    fpga::Device device(spec);
+    device.fillAll(0xFFFF);
+    const double v = model->effectiveVoltage(
+        spec.calib.bramVcrashMv / 1000.0, referenceTempC);
+    const std::uint64_t expected = referenceCount(*model, device, v);
+    ASSERT_GT(expected, 0u);
+    for (int t = 0; t < threads; ++t)
+        EXPECT_EQ(counts[static_cast<std::size_t>(t)], expected) << t;
 }
 
 } // namespace
