@@ -215,11 +215,14 @@ echo "== bit-twiddling under UBSan (UVOLT_SANITIZE=undefined) =="
 # recovery paths that reach it under noise. nn_test drives the dense
 # layer's AVX-512 micro-kernel (intrinsics, masked column tails at
 # every batch width 1..130) and the float dequantize; accel_test
-# drives the accelerator's recovering readback.
+# drives the accelerator's recovering readback. fleet_test drives the
+# per-BRAM map tally (16-bit domain indices, popcount narrowing) through
+# FleetEngine on worker threads, and the typed refusal of BRAM-only
+# options on non-BRAM jobs.
 cmake -B build-ubsan -S . -DUVOLT_SANITIZE=undefined
 cmake --build build-ubsan -j "$jobs" \
     --target fpga_test vmodel_test harness_test membackend_test \
-    pmbus_test resilience_test nn_test accel_test
+    pmbus_test resilience_test nn_test accel_test fleet_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/fpga_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/vmodel_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/harness_test
@@ -228,6 +231,7 @@ UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/pmbus_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/resilience_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/nn_test
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/accel_test
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/fleet_test
 
 echo "== tier 1: thread-sanitized build (TSan) =="
 # Only the suites that actually spin threads: the fleet engine, the

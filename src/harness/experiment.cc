@@ -317,19 +317,33 @@ finalizePointStats(SweepPoint &point, std::uint64_t total_bits)
 }
 
 /**
- * The deterministic zero-jitter reference readback of one level: the
- * per-BRAM fault map plus flip-polarity accounting, shipped through the
- * serial link. A crash mid-pass restarts the whole pass (it is
- * jitter-free, hence idempotent).
+ * The deterministic zero-jitter reference map of one level: the
+ * per-BRAM fault map plus flip-polarity accounting. A quiet board
+ * tallies it from the chip's fault order; a board with a noise source
+ * ships every BRAM through the serial link, whose retransmits and
+ * crash schedule are part of the noisy measurement. Both give the same
+ * map. A crash mid-pass restarts the whole pass (it is jitter-free,
+ * hence idempotent).
  */
 Expected<void>
 collectReferenceMaps(SweepPoint &point, const Watchdog &watchdog)
 {
     pmbus::Board &board = watchdog.board;
+    point.perBramFaults.assign(board.device().bramCount(), 0);
+    if (!board.injector()) {
+        board.startReferenceRun();
+        const auto tally = board.tryTallyBramFaults(point.perBramFaults);
+        if (!tally.ok())
+            return tally.error();
+        const FaultSummary summary{tally.value().total(),
+                                   tally.value().oneToZero,
+                                   tally.value().zeroToOne};
+        point.oneToZeroFraction = summary.oneToZeroFraction();
+        return {};
+    }
     for (int recovery = 0; recovery <= watchdog.policy.maxRecoveriesPerRun;
          ++recovery) {
         board.startReferenceRun();
-        point.perBramFaults.assign(board.device().bramCount(), 0);
         FaultSummary summary;
         bool crashed = false;
         for (std::uint32_t b = 0; b < board.device().bramCount(); ++b) {

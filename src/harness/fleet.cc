@@ -493,12 +493,16 @@ Expected<FleetJobOutcome>
 FleetEngine::runMemJob(const FleetPlan &plan, const FleetJob &job) const
 {
     // Harsh-environment injection and rail-region discovery drive a
-    // pmbus::Board; neither applies to the non-BRAM backends.
+    // pmbus::Board; neither applies to the non-BRAM backends. A plan is
+    // caller input, so asking for them is refused, not fatal.
     if (job.noise)
-        fatal("fleet job {}: noise injection is BRAM-only", job.label());
+        return makeError(Errc::invalidRequest,
+                         "fleet job {}: noise injection is BRAM-only",
+                         job.label());
     if (plan.discoverRegions)
-        fatal("fleet job {}: region discovery is BRAM-only",
-              job.label());
+        return makeError(Errc::invalidRequest,
+                         "fleet job {}: region discovery is BRAM-only",
+                         job.label());
 
     auto device = mem::makeDevice(job.platform);
     fillMemPattern(*device, job.pattern);

@@ -83,10 +83,13 @@ runMemSweep(const MemoryDevice &device, const MemSweepOptions &options)
         if (options.collectPerDomain) {
             const double effective =
                 device.effectiveVoltage(railV, options.ambientC, 0.0);
-            point.perDomainFaults.reserve(device.domainCount());
-            for (std::uint32_t d = 0; d < device.domainCount(); ++d)
-                point.perDomainFaults.push_back(
-                    device.countDomainFaults(d, effective));
+            point.perDomainFaults.resize(device.domainCount());
+            vmodel::tallyDomains(
+                device.faultOrder(),
+                [&device](std::uint32_t d) {
+                    return device.domainWords(d);
+                },
+                effective, point.perDomainFaults);
         }
         result.points.push_back(std::move(point));
     }

@@ -409,6 +409,28 @@ Board::countDeviceFaults() const
     return result.value();
 }
 
+Expected<vmodel::PolarityCounts>
+Board::tryTallyBramFaults(std::span<int> per_bram) const
+{
+    if (injector_)
+        panic("{}: tallied BRAM maps bypass the noisy serial link; read "
+              "them back BRAM by BRAM",
+              spec().name);
+    boardMetrics().bramProbes.add(device_.bramCount());
+    if (!donePin()) {
+        boardMetrics().crashesDetected.increment();
+        return makeError(Errc::crashDetected,
+                         "{}: fault map with DONE pin low (configuration "
+                         "lost at {} mV)",
+                         spec().name, vccBramMv());
+    }
+    const auto brams = device_.brams();
+    return vmodel::tallyDomains(
+        faults_->faultOrder(),
+        [brams](std::uint32_t b) { return brams[b].words(); },
+        effectiveVoltage(), per_bram);
+}
+
 double
 Board::measureBramPowerW() const
 {

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fpga/device.hh"
@@ -230,6 +231,19 @@ class Board
 
     /** Fatal-on-error form of tryCountDeviceFaults(). */
     std::uint64_t countDeviceFaults() const;
+
+    /**
+     * The per-BRAM fault map of the run in progress without the serial
+     * transfer: one vmodel::tallyDomains() pass over the chip's fault
+     * order fills @a per_bram (one slot per BRAM) and returns the flip
+     * polarity split. Bit-identical to diffing tryReadBramPacked() of
+     * every BRAM, with the same per-BRAM probe accounting as
+     * tryCountDeviceFaults(). Quiet lab only: with a noise source
+     * attached the link and the crash schedule are part of the
+     * measurement, so such a board must be read back BRAM by BRAM.
+     */
+    Expected<vmodel::PolarityCounts>
+    tryTallyBramFaults(std::span<int> per_bram) const;
 
     /** Effective bitcell voltage under the current conditions. */
     double effectiveVoltage() const;

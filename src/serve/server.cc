@@ -50,6 +50,8 @@ struct ServeMetrics
         telemetry::Registry::global().counter("serve.admitted");
     telemetry::Counter &rejected =
         telemetry::Registry::global().counter("serve.rejected");
+    telemetry::Counter &invalid =
+        telemetry::Registry::global().counter("serve.invalid");
     telemetry::Counter &degraded =
         telemetry::Registry::global().counter("serve.degraded");
     telemetry::Counter &deadlineExceeded =
@@ -287,21 +289,33 @@ UvoltServer::admit(Request request)
     return future;
 }
 
+Error
+UvoltServer::refuseInvalid(Error error)
+{
+    {
+        std::unique_lock stats(statsMutex_);
+        ++stats_.invalid;
+    }
+    serveMetrics().invalid.increment();
+    return error;
+}
+
 Expected<std::future<Expected<CharacterizeResponse>>>
 UvoltServer::submitCharacterize(CharacterizeRequest request)
 {
     // Refused here, before admission: the worker that would run it
     // only knows how to fail the whole process on these inputs.
     if (!mem::knownDevice(request.platform)) {
-        return makeError(Errc::invalidRequest,
-                         "characterize: unknown platform '{}'",
-                         request.platform);
+        return refuseInvalid(makeError(Errc::invalidRequest,
+                                       "characterize: unknown platform "
+                                       "'{}'",
+                                       request.platform));
     }
     if (request.runsPerLevel <= 0) {
-        return makeError(Errc::invalidRequest,
-                         "characterize: runsPerLevel must be positive, "
-                         "got {}",
-                         request.runsPerLevel);
+        return refuseInvalid(makeError(Errc::invalidRequest,
+                                       "characterize: runsPerLevel must "
+                                       "be positive, got {}",
+                                       request.runsPerLevel));
     }
     return admit<CharacterizeRequest, CharacterizeResponse>(
         std::move(request));
@@ -312,10 +326,11 @@ UvoltServer::submitClassify(ClassifyRequest request)
 {
     if (request.sampleCount == 0 ||
         request.samples.size() % request.sampleCount != 0) {
-        return makeError(Errc::invalidRequest,
-                         "classify: {} sample values do not divide into "
-                         "{} samples",
-                         request.samples.size(), request.sampleCount);
+        return refuseInvalid(makeError(Errc::invalidRequest,
+                                       "classify: {} sample values do "
+                                       "not divide into {} samples",
+                                       request.samples.size(),
+                                       request.sampleCount));
     }
     if (!config_.modelProvider)
         fatal("submitClassify: server has no model provider");
@@ -444,19 +459,16 @@ UvoltServer::statusReport() const
     if (telemetry::Telemetry::enabled()) {
         const telemetry::MetricsSnapshot snapshot =
             telemetry::Registry::global().metrics();
+        const std::pair<const char *, std::optional<LatencyQuantiles> *>
+            quantiles[] = {{"serve.queue_wait_ms", &report.queueWait},
+                           {"serve.e2e_ms", &report.e2e},
+                           {"serve.characterize_ms", &report.characterize},
+                           {"serve.classify_ms", &report.classify}};
         for (const auto &histogram : snapshot.histograms) {
-            if (histogram.name == "serve.queue_wait_ms") {
-                report.queueWaitP50Ms = histogram.p50();
-                report.queueWaitP99Ms = histogram.p99();
-            } else if (histogram.name == "serve.e2e_ms") {
-                report.e2eP50Ms = histogram.p50();
-                report.e2eP99Ms = histogram.p99();
-            } else if (histogram.name == "serve.characterize_ms") {
-                report.characterizeP50Ms = histogram.p50();
-                report.characterizeP99Ms = histogram.p99();
-            } else if (histogram.name == "serve.classify_ms") {
-                report.classifyP50Ms = histogram.p50();
-                report.classifyP99Ms = histogram.p99();
+            for (const auto &[name, slot] : quantiles) {
+                if (histogram.name == name && histogram.count > 0)
+                    *slot = LatencyQuantiles{histogram.p50(),
+                                             histogram.p99()};
             }
         }
     }
@@ -491,21 +503,26 @@ StatusReport::render() const
                      queueCapacity);
     out += strFormat("admitted        {}  completed {}  failed {}\n",
                      stats.admitted, stats.completed, stats.failed);
-    out += strFormat("refused         rejected {}  shed {}  "
+    out += strFormat("refused         rejected {}  shed {}  invalid {}  "
                      "cancelled {}\n",
-                     stats.rejected, stats.shed, stats.cancelled);
+                     stats.rejected, stats.shed, stats.invalid,
+                     stats.cancelled);
     out += strFormat("pressure        deadline misses {}  retries {}  "
                      "coalesced blocks {}\n",
                      stats.deadlineExceeded, stats.retried,
                      stats.coalescedBlocks);
-    out += strFormat("queue wait      p50 {:.3f} ms  p99 {:.3f} ms\n",
-                     queueWaitP50Ms, queueWaitP99Ms);
-    out += strFormat("end-to-end      p50 {:.3f} ms  p99 {:.3f} ms\n",
-                     e2eP50Ms, e2eP99Ms);
-    out += strFormat("  characterize  p50 {:.3f} ms  p99 {:.3f} ms\n",
-                     characterizeP50Ms, characterizeP99Ms);
-    out += strFormat("  classify      p50 {:.3f} ms  p99 {:.3f} ms\n",
-                     classifyP50Ms, classifyP99Ms);
+    const auto latency = [&out](const char *label,
+                                const std::optional<LatencyQuantiles> &q) {
+        if (q)
+            out += strFormat("{}p50 {:.3f} ms  p99 {:.3f} ms\n", label,
+                             q->p50Ms, q->p99Ms);
+        else
+            out += strFormat("{}not recorded\n", label);
+    };
+    latency("queue wait      ", queueWait);
+    latency("end-to-end      ", e2e);
+    latency("  characterize  ", characterize);
+    latency("  classify      ", classify);
     out += strFormat("error budget    {:.1f}% burned\n",
                      errorBudgetBurn * 100.0);
     if (!hotFrames.empty()) {

@@ -178,6 +178,7 @@ struct ServerStats
     std::uint64_t admitted = 0;  ///< accepted into the queue
     std::uint64_t rejected = 0;  ///< refused: queue full
     std::uint64_t shed = 0;      ///< refused: degraded, low priority
+    std::uint64_t invalid = 0;   ///< refused: malformed request
     std::uint64_t completed = 0; ///< responded with a value
     std::uint64_t failed = 0;    ///< responded with an Error
     std::uint64_t deadlineExceeded = 0; ///< subset of failed
@@ -186,11 +187,19 @@ struct ServerStats
     std::uint64_t coalescedBlocks = 0; ///< blocks mixing >= 2 requests
 };
 
+/** Median and 99th percentile of one latency histogram, ms. */
+struct LatencyQuantiles
+{
+    double p50Ms = 0.0;
+    double p99Ms = 0.0;
+};
+
 /**
  * Point-in-time operator view of the server, rendered by
  * `serve_demo --watch` and exported next to the Prometheus snapshot.
- * Latency quantiles come from the telemetry histograms and are zero
- * when telemetry is off; everything else is live server state.
+ * Latency quantiles come from the telemetry histograms; one is empty
+ * (rendered "not recorded") when its histogram holds no samples, e.g.
+ * with telemetry off. Everything else is live server state.
  */
 struct StatusReport
 {
@@ -200,10 +209,10 @@ struct StatusReport
     std::size_t queueCapacity = 0;
     ServerStats stats;
 
-    double queueWaitP50Ms = 0.0, queueWaitP99Ms = 0.0;
-    double e2eP50Ms = 0.0, e2eP99Ms = 0.0;
-    double characterizeP50Ms = 0.0, characterizeP99Ms = 0.0;
-    double classifyP50Ms = 0.0, classifyP99Ms = 0.0;
+    std::optional<LatencyQuantiles> queueWait;
+    std::optional<LatencyQuantiles> e2e;
+    std::optional<LatencyQuantiles> characterize;
+    std::optional<LatencyQuantiles> classify;
 
     /** failed/responded over the configured budget; >= 1 = budget
      *  exhausted. 0 while nothing has been responded to. */
@@ -332,6 +341,9 @@ class UvoltServer
 
     template <typename Request, typename Response>
     Expected<std::future<Expected<Response>>> admit(Request request);
+
+    /** Count a malformed request's refusal and hand its error back. */
+    Error refuseInvalid(Error error);
 
     void workerLoop();
     void process(Pending item);

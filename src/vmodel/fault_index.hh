@@ -12,7 +12,9 @@
  * projects that order onto the current content in one linear pass: a
  * running sum of the fault bits each element adds under this content,
  * so the count at any voltage is the sum read at one
- * std::partition_point over the order's thresholds.
+ * std::partition_point over the order's thresholds. tallyDomains()
+ * reads the same prefix once more to split it into a per-domain fault
+ * map, the per-BRAM map of the paper's Listing 1.
  *
  * Everything here is header-inline: these are the innermost loops of
  * the characterization path.
@@ -40,15 +42,30 @@ namespace uvolt::vmodel
  * is *strictly below* the threshold. Thresholds are stored as float and
  * promoted to double exactly (every float is representable), so the
  * comparison is unambiguous — and a cell whose threshold equals the
- * probe voltage is HEALTHY. Every fault-counting path (the threshold
- * ladders' and the fault index's binary searches, and every backend's
- * scalar reference walker) must route through this one function so the
- * exact-equality boundary can never diverge between implementations.
+ * probe voltage is HEALTHY. Every fault-counting path (activePrefix(),
+ * the one binary search behind the ladders, the index and the map
+ * tally, and every backend's scalar reference walker) must route
+ * through this one function so the exact-equality boundary can never
+ * diverge between implementations.
  */
 inline bool
 cellFailsAt(float threshold_v, double effective_v)
 {
     return effective_v < static_cast<double>(threshold_v);
+}
+
+/**
+ * Length of the prefix of descending @a thresholds whose elements fail
+ * at @a effective_v: one binary search with cellFailsAt() as the
+ * boundary, shared by every ladder, index and tally below.
+ */
+inline std::size_t
+activePrefix(std::span<const float> thresholds, double effective_v)
+{
+    const auto end = std::partition_point(
+        thresholds.begin(), thresholds.end(),
+        [effective_v](float t) { return cellFailsAt(t, effective_v); });
+    return static_cast<std::size_t>(end - thresholds.begin());
 }
 
 /**
@@ -106,10 +123,7 @@ struct ThresholdLadder
     std::size_t
     activeCount(double effective_v) const
     {
-        const auto end = std::partition_point(
-            thresholds.begin(), thresholds.end(),
-            [effective_v](float t) { return cellFailsAt(t, effective_v); });
-        return static_cast<std::size_t>(end - thresholds.begin());
+        return activePrefix(thresholds, effective_v);
     }
 
     /** Faults the active prefix produces against @a written: 1->0
@@ -286,11 +300,7 @@ class FaultIndex
     std::uint64_t
     count(double effective_v) const
     {
-        const auto end = std::partition_point(
-            thresholds_.begin(), thresholds_.end(),
-            [effective_v](float t) { return cellFailsAt(t, effective_v); });
-        const auto active =
-            static_cast<std::size_t>(end - thresholds_.begin());
+        const std::size_t active = activePrefix(thresholds_, effective_v);
         return active == 0 ? 0 : sums_[active - 1];
     }
 
@@ -300,6 +310,54 @@ class FaultIndex
     std::uint64_t epoch_ = 0;
     bool built_ = false;
 };
+
+/** Fault bits of one tally, split by flip polarity. */
+struct PolarityCounts
+{
+    std::uint64_t oneToZero = 0; ///< stored 1 read as 0
+    std::uint64_t zeroToOne = 0; ///< stored 0 read as 1
+
+    std::uint64_t total() const { return oneToZero + zeroToOne; }
+};
+
+/**
+ * The per-domain fault map of a device at one effective voltage: one
+ * binary search over @a order, then one pass over its active prefix
+ * adding each element's popcount((stored ^ flip) & mask) to its
+ * domain. Equal, domain by domain, to the per-domain ladder counts and
+ * the scalar reference walkers, because the prefix boundary is
+ * cellFailsAt(); equal to diffing a readback of every domain, because
+ * each weak element flips only the bits its polarity covers.
+ * @param domain_words f(std::uint32_t domain) -> fpga::WordSpan
+ * @param per_domain one slot per domain of @a order; overwritten
+ * @return the fault bits of the whole device, split by polarity
+ */
+template <typename DomainWords>
+PolarityCounts
+tallyDomains(const FaultOrder &order, DomainWords &&domain_words,
+             double effective_v, std::span<int> per_domain)
+{
+    if (per_domain.size() != order.domainCount)
+        panic("tallyDomains: {} map slots for {} fault domains",
+              per_domain.size(), order.domainCount);
+    std::vector<fpga::WordSpan> planes(order.domainCount);
+    for (std::uint32_t d = 0; d < order.domainCount; ++d)
+        planes[d] = domain_words(d);
+    std::fill(per_domain.begin(), per_domain.end(), 0);
+
+    std::uint64_t by_polarity[2] = {0, 0}; ///< [0]: 0->1, [1]: 1->0
+    const std::size_t active = activePrefix(order.thresholds, effective_v);
+    for (std::size_t i = 0; i < active; ++i) {
+        const std::uint16_t domain = order.domains[i];
+        const std::uint8_t one_to_zero = order.oneToZero[i];
+        const std::uint64_t flip = one_to_zero ? 0 : ~0ull;
+        const int bits = std::popcount(
+            (planes[domain][order.words[i]] ^ flip) & order.masks[i]);
+        per_domain[domain] += bits;
+        by_polarity[one_to_zero] += static_cast<std::uint64_t>(bits);
+    }
+    return {by_polarity[1], by_polarity[0]};
+}
 
 } // namespace uvolt::vmodel
 

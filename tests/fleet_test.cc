@@ -26,6 +26,8 @@
 #include "pmbus/board.hh"
 #include "util/thread_pool.hh"
 
+#include "test_scratch.hh"
+
 namespace uvolt::harness
 {
 namespace
@@ -34,15 +36,7 @@ namespace
 using pmbus::Board;
 using pmbus::NoiseConfig;
 
-/** Fresh scratch directory under the system temp root. */
-std::string
-scratchDir(const std::string &name)
-{
-    const auto path = std::filesystem::temp_directory_path() / name;
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-    return path.string();
-}
+using test::scratchDir;
 
 /** A quick two-pattern, two-temperature fleet on the smallest die. */
 FleetPlan
@@ -91,9 +85,10 @@ expectSameFleet(const FleetResult &a, const FleetResult &b)
                   b.dies[i].faultsPerMbitAtVcrash);
         ASSERT_EQ(a.dies[i].mergedFvm.has_value(),
                   b.dies[i].mergedFvm.has_value());
-        if (a.dies[i].mergedFvm)
+        if (a.dies[i].mergedFvm) {
             EXPECT_EQ(a.dies[i].mergedFvm->perBramFaults(),
                       b.dies[i].mergedFvm->perBramFaults());
+        }
     }
     EXPECT_EQ(a.dieToDieRatio(), b.dieToDieRatio());
 }
@@ -283,6 +278,38 @@ TEST(FleetErrors, UnmaskableEnvironmentComesBackAsError)
     auto result = engine.run(plan);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.code(), Errc::recoveryExhausted);
+}
+
+TEST(FleetErrors, BramOnlyOptionsOnAnHbmJobAreATypedError)
+{
+    // Noise and region discovery drive a pmbus::Board, which an HBM job
+    // does not have. Both reach the engine on a worker thread, and both
+    // must come back as a refusal naming the job; the process survives.
+    ThreadPool pool(2);
+    const auto noisy = Campaign::onDevices({"HBM2-A"})
+                           .withNoise(NoiseConfig::harsh(1, 0.05))
+                           .sweep(3)
+                           .ledgerUnder("");
+    const auto regions = Campaign::onDevices({"HBM2-A"})
+                             .discoverRegions()
+                             .sweep(3)
+                             .ledgerUnder("");
+    for (const Campaign *campaign : {&noisy, &regions}) {
+        const std::string label = campaign->plan().jobs.front().label();
+        auto result = campaign->run(pool);
+        ASSERT_FALSE(result.ok()) << label;
+        EXPECT_EQ(result.code(), Errc::invalidRequest) << label;
+        EXPECT_NE(result.error().message.find(label), std::string::npos)
+            << result.error().message;
+        EXPECT_NE(result.error().message.find("BRAM-only"),
+                  std::string::npos)
+            << result.error().message;
+    }
+    // The same devices without the BRAM-only options still sweep.
+    auto quiet =
+        Campaign::onDevices({"HBM2-A"}).sweep(3).ledgerUnder("").run(pool);
+    ASSERT_TRUE(quiet.ok()) << quiet.error().message;
+    EXPECT_FALSE(quiet.value().jobs.front().sweep.points.empty());
 }
 
 TEST(FleetCheckpoint, ResumesAfterKillAndMatchesFreshRun)

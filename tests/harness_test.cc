@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -107,46 +108,134 @@ TEST(FaultAnalyzerTest, PackedDiffMatchesRowsDiff)
     EXPECT_EQ(packed_summary.zeroToOne, rows_summary.zeroToOne);
 }
 
+/** The four dies, and contents that put both polarities at stake
+ *  (0x0000 leaves only the 0->1 cells observable). */
+const char *const kDies[] = {"VC707", "ZC702", "KC705-A", "KC705-B"};
+const PatternSpec kMapPatterns[] = {
+    PatternSpec::allOnes(), PatternSpec::fixed(0xAAAA),
+    PatternSpec::fixed(0x0000), PatternSpec::random(0.5, 11)};
+
+/**
+ * Check the per-BRAM map @a map of @a board's zero-jitter reference run
+ * at its present level against both executable specs: the scalar
+ * walker countBramFaultsReference() and a diffBram() recount of the
+ * framed serial readback. Returns the recount's polarity summary.
+ */
+FaultSummary
+expectMapMatchesSpecs(Board &board, const std::vector<int> &map)
+{
+    board.startReferenceRun();
+    const double v = board.effectiveVoltage();
+    FaultSummary summary;
+    std::vector<FaultObservation> faults;
+    EXPECT_EQ(map.size(), board.device().bramCount());
+    for (std::uint32_t b = 0; b < map.size(); ++b) {
+        const fpga::Bram &bram = board.device().bram(b);
+        faults.clear();
+        auto observed = board.tryReadBramPacked(b);
+        EXPECT_TRUE(observed.ok());
+        if (!observed.ok())
+            break;
+        diffBram(bram, observed.value(), b, faults, summary);
+        EXPECT_EQ(map[b], static_cast<int>(faults.size()))
+            << board.vccBramMv() << " mV, BRAM " << b;
+        EXPECT_EQ(map[b],
+                  board.faultModel().countBramFaultsReference(bram, b, v))
+            << board.vccBramMv() << " mV, BRAM " << b;
+    }
+    return summary;
+}
+
 TEST(FaultAnalyzerTest, SweepMapsEqualDiffRecountOfReferenceReadback)
 {
-    // The sweep counts each BRAM's map by popcount; a diffBram walk of
-    // the same zero-jitter readback is the reference. 0xAAAA and the
-    // random fill put both polarities at stake.
-    for (const char *platform : {"VC707", "ZC702", "KC705-A"}) {
-        for (const PatternSpec &pattern :
-             {PatternSpec::allOnes(), PatternSpec::fixed(0xAAAA),
-              PatternSpec::random(0.5, 11)}) {
-            SCOPED_TRACE(std::string(platform) + " " + pattern.label());
-            Board board(fpga::findPlatform(platform));
+    // A quiet board tallies each level's map from the fault order; a
+    // harsh board ships every BRAM through the noisy serial link. Both
+    // maps and polarity splits must equal the specs at every level.
+    for (const char *die : kDies) {
+        const fpga::PlatformSpec &spec = fpga::findPlatform(die);
+        for (const PatternSpec &pattern : kMapPatterns) {
+            SCOPED_TRACE(std::string(die) + " " + pattern.label());
             SweepOptions options;
             options.pattern = pattern;
             options.runsPerLevel = 1;
-            auto sweep = tryRunCriticalSweep(board, options);
+            Board quiet(spec);
+            auto sweep = tryRunCriticalSweep(quiet, options);
             ASSERT_TRUE(sweep.ok()) << sweep.error().message;
-            ASSERT_FALSE(sweep.value().points.empty());
+            Board harsh(spec);
+            harsh.attachNoise(pmbus::NoiseConfig::harsh(3, 0.1));
+            auto linked = tryRunCriticalSweep(harsh, options);
+            ASSERT_TRUE(linked.ok()) << linked.error().message;
+            const auto &points = sweep.value().points;
+            ASSERT_FALSE(points.empty());
+            ASSERT_EQ(linked.value().points.size(), points.size());
 
-            fillPattern(board, pattern);
-            for (const SweepPoint &point : sweep.value().points) {
-                board.setVccBramMv(point.vccBramMv);
-                board.startReferenceRun();
-                FaultSummary summary;
-                std::vector<FaultObservation> faults;
-                ASSERT_EQ(point.perBramFaults.size(),
-                          board.device().bramCount());
-                for (std::uint32_t b = 0; b < board.device().bramCount();
-                     ++b) {
-                    faults.clear();
-                    auto observed = board.tryReadBramPacked(b);
-                    ASSERT_TRUE(observed.ok());
-                    diffBram(board.device().bram(b), observed.value(), b,
-                             faults, summary);
-                    ASSERT_EQ(point.perBramFaults[b],
-                              static_cast<int>(faults.size()))
-                        << point.vccBramMv << " mV, BRAM " << b;
-                }
+            Board probe(spec);
+            fillPattern(probe, pattern);
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                const SweepPoint &point = points[i];
+                EXPECT_EQ(linked.value().points[i].perBramFaults,
+                          point.perBramFaults);
+                EXPECT_EQ(linked.value().points[i].oneToZeroFraction,
+                          point.oneToZeroFraction);
+                probe.setVccBramMv(point.vccBramMv);
+                const FaultSummary summary =
+                    expectMapMatchesSpecs(probe, point.perBramFaults);
                 EXPECT_EQ(point.oneToZeroFraction,
                           summary.oneToZeroFraction())
                     << point.vccBramMv << " mV";
+            }
+            if (pattern.kind == PatternSpec::Kind::Fixed &&
+                pattern.word == 0xFFFF) {
+                EXPECT_GT(std::accumulate(
+                              points.back().perBramFaults.begin(),
+                              points.back().perBramFaults.end(), 0),
+                          0);
+            }
+        }
+    }
+}
+
+TEST(FaultAnalyzerTest, QuietTallyFollowsContentAndSplitsPolarity)
+{
+    // The tally reads the content of the moment: after the busiest
+    // BRAM is overwritten with the inverse pattern (a new content
+    // epoch) at the same voltage, the map, the polarity split and the
+    // device count must all follow it.
+    for (const char *die : kDies) {
+        SCOPED_TRACE(die);
+        const fpga::PlatformSpec &spec = fpga::findPlatform(die);
+        Board board(spec);
+        board.setVccBramMv(spec.calib.bramVcrashMv);
+        for (const PatternSpec &pattern : kMapPatterns) {
+            SCOPED_TRACE(pattern.label());
+            fillPattern(board, pattern);
+            for (int clear = 0; clear < 2; ++clear) {
+                board.startReferenceRun();
+                std::vector<int> map(board.device().bramCount());
+                auto tally = board.tryTallyBramFaults(map);
+                ASSERT_TRUE(tally.ok()) << tally.error().message;
+                const FaultSummary summary =
+                    expectMapMatchesSpecs(board, map);
+                EXPECT_EQ(tally.value().oneToZero, summary.oneToZero);
+                EXPECT_EQ(tally.value().zeroToOne, summary.zeroToOne);
+                EXPECT_EQ(tally.value().total(),
+                          board.countDeviceFaults());
+                // A uniform fill can fault in one polarity only.
+                const bool uniform = clear == 0 &&
+                    pattern.kind == PatternSpec::Kind::Fixed;
+                if (uniform && pattern.word == 0xFFFF) {
+                    EXPECT_EQ(tally.value().zeroToOne, 0u);
+                    EXPECT_GT(tally.value().oneToZero, 0u);
+                }
+                if (uniform && pattern.word == 0x0000) {
+                    EXPECT_EQ(tally.value().oneToZero, 0u);
+                }
+                // Rewrite the BRAM with the most faults for pass two.
+                const auto busiest = static_cast<std::uint32_t>(
+                    std::max_element(map.begin(), map.end()) -
+                    map.begin());
+                board.device().bram(busiest).fill(
+                    static_cast<std::uint16_t>(~pattern.word));
             }
         }
     }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "fault_index_probes.hh"
+#include "test_scratch.hh"
 #include "fpga/device.hh"
 #include "fpga/fault_domain.hh"
 #include "fpga/platform.hh"
@@ -303,6 +304,60 @@ TEST_P(FaultIndexProperty, CountEqualsTheReferenceWalkerAtEveryBoundary)
         expectCountsMatchReference(*device, probes,
                                    "content " + std::to_string(content));
         EXPECT_EQ(device->countFaults(probes.front()), 0u);
+    }
+}
+
+TEST_P(FaultIndexProperty, TallyAndSweepMapsEqualTheReferenceWalker)
+{
+    auto device = makeDevice(GetParam());
+    const vmodel::FaultOrder &order = device->faultOrder();
+    const auto probes =
+        vmodel::boundaryProbes(order, mv(device->traits().vminMv));
+    const auto planes = [&device](std::uint32_t d) {
+        return device->domainWords(d);
+    };
+    std::vector<int> map(device->domainCount());
+    MemSweepOptions options;
+    options.runsPerLevel = 2;
+    options.collectPerDomain = true;
+    for (int content : kContents) {
+        const std::string what = "content " + std::to_string(content);
+        fillContent(*device, content);
+        for (double v : probes) {
+            const vmodel::PolarityCounts split =
+                vmodel::tallyDomains(order, planes, v, map);
+            for (std::uint32_t d = 0; d < device->domainCount(); ++d) {
+                ASSERT_EQ(map[d], device->countDomainFaultsReference(d, v))
+                    << device->name() << " " << what << " at " << v
+                    << ", domain " << d;
+            }
+            ASSERT_EQ(split.total(), referenceCount(*device, v))
+                << device->name() << " " << what << " at " << v;
+            // A lane pattern stores one value per bit position, so only
+            // the polarity that flips it can fault.
+            if (content == 0xFFFF) {
+                ASSERT_EQ(split.zeroToOne, 0u) << what << " at " << v;
+            }
+            if (content == 0x0000) {
+                ASSERT_EQ(split.oneToZero, 0u) << what << " at " << v;
+            }
+        }
+
+        // The sweep's per-domain maps take the same tally at each
+        // level's zero-jitter voltage.
+        const MemSweepResult sweep = runMemSweep(*device, options);
+        ASSERT_FALSE(sweep.points.empty());
+        for (const MemSweepPoint &point : sweep.points) {
+            const double v = device->effectiveVoltage(
+                mv(point.railMv), options.ambientC, 0.0);
+            ASSERT_EQ(point.perDomainFaults.size(), device->domainCount());
+            for (std::uint32_t d = 0; d < device->domainCount(); ++d) {
+                ASSERT_EQ(point.perDomainFaults[d],
+                          device->countDomainFaultsReference(d, v))
+                    << device->name() << " " << what << " at "
+                    << point.railMv << " mV, domain " << d;
+            }
+        }
     }
 }
 
@@ -654,21 +709,6 @@ TEST_P(MixedFleetDeterminism, MixedFleetIsBitIdenticalAcrossWorkers)
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, MixedFleetDeterminism,
                          ::testing::Values(0u, 1u, 8u));
 
-TEST(MixedFleetTest, NoiseInjectionOnNonBramJobsDies)
-{
-    const pmbus::NoiseConfig noise = pmbus::NoiseConfig::harsh(1, 0.05);
-    const auto campaign = harness::Campaign::onDevices({"HBM2-A"})
-                              .withNoise(noise)
-                              .sweep(3)
-                              .ledgerUnder("");
-    EXPECT_DEATH(
-        {
-            auto result = campaign.run();
-            (void)result;
-        },
-        "BRAM-only");
-}
-
 // ---------------------------------------------------------------------
 // Cache keys and manifest tags
 // ---------------------------------------------------------------------
@@ -729,9 +769,7 @@ TEST(LedgerBackends, ManifestsWithoutBackendFieldReadAsBram)
 
 TEST(MixedFleetTest, FleetRecordsBackendTagsInTheManifest)
 {
-    const auto dir = std::filesystem::temp_directory_path() /
-        "uvolt_membackend_ledger";
-    std::filesystem::remove_all(dir);
+    const auto dir = test::scratchFile("ledger");
     const auto result =
         harness::Campaign::onDevices({"ZC702", "HBM2-A"})
             .withPattern(harness::PatternSpec::allOnes())
@@ -746,7 +784,6 @@ TEST(MixedFleetTest, FleetRecordsBackendTagsInTheManifest)
     ASSERT_EQ(manifest.value().backends.size(), 2u);
     EXPECT_EQ(manifest.value().backends[0], "bram");
     EXPECT_EQ(manifest.value().backends[1], "hbm");
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

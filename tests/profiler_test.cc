@@ -23,6 +23,8 @@
 #include "util/profiler.hh"
 #include "util/telemetry.hh"
 
+#include "test_scratch.hh"
+
 namespace uvolt::profiler
 {
 namespace
@@ -127,14 +129,13 @@ TEST(ProfilerFold, WriteFoldedMatchesText)
 {
     Profile profile;
     foldInto(profile, {stack({"x", "y"})});
-    const auto path = std::filesystem::temp_directory_path() /
-        "uvolt_profiler_test.folded";
+    const auto path =
+        std::filesystem::path(test::scratchDir("profile")) / "out.folded";
     ASSERT_TRUE(writeFolded(profile, path.string()));
     std::ifstream in(path);
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     EXPECT_EQ(text, profile.foldedText());
-    std::filesystem::remove(path);
 }
 
 TEST(Profiler, IntervalFromEnv)

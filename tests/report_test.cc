@@ -26,20 +26,14 @@
 #include "util/telemetry.hh"
 #include "util/thread_pool.hh"
 
+#include "test_scratch.hh"
+
 namespace uvolt::harness
 {
 namespace
 {
 
-/** Fresh scratch directory under the system temp root. */
-std::string
-scratchDir(const std::string &name)
-{
-    const auto path = std::filesystem::temp_directory_path() / name;
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-    return path.string();
-}
+using test::scratchDir;
 
 // --- CSV and JSON escaping ----------------------------------------------
 

@@ -41,6 +41,8 @@
 #include "util/json.hh"
 #include "util/telemetry.hh"
 
+#include "test_scratch.hh"
+
 namespace uvolt::serve
 {
 namespace
@@ -49,15 +51,7 @@ namespace
 using harness::PatternSpec;
 using harness::SweepResult;
 
-/** Fresh scratch directory under the system temp root. */
-std::string
-scratchDir(const std::string &name)
-{
-    const auto path = std::filesystem::temp_directory_path() / name;
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-    return path.string();
-}
+using test::scratchDir;
 
 /** Bit-exact equality of two sweeps (the determinism contract). */
 void
@@ -472,6 +466,7 @@ refusedAmidGoodTraffic(Hostile &&hostile)
     EXPECT_EQ(stats.admitted, sweeps.size() + batches.size());
     EXPECT_EQ(stats.completed, stats.admitted);
     EXPECT_EQ(stats.completed + stats.failed, stats.admitted);
+    EXPECT_EQ(stats.invalid, 8u);
     server.stop();
 }
 
@@ -1145,14 +1140,63 @@ TEST(ServeObservability, StatusReportMatchesLedgerAndRenders)
     // 1 failure of 7 responses over a 0.5 budget = 2/7 burned.
     EXPECT_NEAR(report.errorBudgetBurn, (1.0 / 7.0) / 0.5, 1e-9);
     if (telemetry::Telemetry::compiledIn()) {
-        EXPECT_GT(report.e2eP99Ms, 0.0);
-        EXPECT_GT(report.classifyP50Ms, 0.0);
+        ASSERT_TRUE(report.e2e && report.classify);
+        EXPECT_GT(report.e2e->p99Ms, 0.0);
+        EXPECT_GT(report.classify->p50Ms, 0.0);
+        // No characterize request ran: its quantiles have no samples.
+        EXPECT_FALSE(report.characterize);
     }
 
     const std::string screen = report.render();
     EXPECT_NE(screen.find("state"), std::string::npos);
     EXPECT_NE(screen.find("normal"), std::string::npos);
     EXPECT_NE(screen.find("error budget"), std::string::npos);
+    server.stop();
+}
+
+TEST(ServeObservability, UnsampledQuantilesAreNotRecordedAndRefusalsCount)
+{
+    const bool was = telemetry::Telemetry::enabled();
+    telemetry::Telemetry::setEnabled(false);
+
+    ServerConfig config;
+    config.workers = 1;
+    config.modelProvider = fixedProvider();
+    config.blackboxDir = "";
+    UvoltServer server(std::move(config));
+    ASSERT_TRUE(
+        server.submitClassify(forestRequest(2, 1, 850)).orFatal().get().ok());
+    CharacterizeRequest typo;
+    typo.platform = "VC70";
+    CharacterizeRequest no_runs;
+    no_runs.platform = "ZC702";
+    no_runs.runsPerLevel = 0;
+    ClassifyRequest ragged = forestRequest(2, 2, 850);
+    ragged.samples.pop_back();
+    EXPECT_EQ(server.submitCharacterize(std::move(typo)).code(),
+              Errc::invalidRequest);
+    EXPECT_EQ(server.submitCharacterize(std::move(no_runs)).code(),
+              Errc::invalidRequest);
+    EXPECT_EQ(server.submitClassify(std::move(ragged)).code(),
+              Errc::invalidRequest);
+    server.drain();
+
+    const StatusReport report = server.statusReport();
+    telemetry::Telemetry::setEnabled(was);
+    EXPECT_EQ(report.stats.invalid, 3u);
+    EXPECT_EQ(report.stats.admitted, 1u);
+    EXPECT_EQ(report.stats.rejected, 0u);
+    // Telemetry off: no latency was sampled, so none may read as zero.
+    EXPECT_FALSE(report.queueWait || report.e2e || report.characterize ||
+                 report.classify);
+    const std::string screen = report.render();
+    EXPECT_NE(screen.find("invalid 3"), std::string::npos) << screen;
+    EXPECT_EQ(screen.find("0.000 ms"), std::string::npos) << screen;
+    std::size_t not_recorded = 0;
+    for (auto at = screen.find("not recorded"); at != std::string::npos;
+         at = screen.find("not recorded", at + 1))
+        ++not_recorded;
+    EXPECT_EQ(not_recorded, 4u) << screen;
     server.stop();
 }
 

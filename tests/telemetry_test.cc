@@ -26,6 +26,8 @@
 #include "util/telemetry.hh"
 #include "util/thread_pool.hh"
 
+#include "test_scratch.hh"
+
 namespace uvolt::telemetry
 {
 namespace
@@ -510,10 +512,7 @@ TEST(TelemetryTest, FlightRecorderDumpSchema)
     EXPECT_EQ(recorder.recorded(), 3u);
     EXPECT_EQ(recorder.overwritten(), 0u);
 
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "uvolt_blackbox_schema";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
+    const std::filesystem::path dir = test::scratchDir("blackbox");
     const std::string path = recorder.dump("schema check", dir.string());
     ASSERT_FALSE(path.empty());
     // The reason is sanitized into the file name.

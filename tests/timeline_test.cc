@@ -21,19 +21,14 @@
 #include "util/format.hh"
 #include "util/fsio.hh"
 
+#include "test_scratch.hh"
+
 namespace uvolt::harness
 {
 namespace
 {
 
-std::filesystem::path
-tempFile(const char *name)
-{
-    const auto path = std::filesystem::temp_directory_path() /
-        "uvolt_timeline_test" / name;
-    std::filesystem::remove_all(path.parent_path());
-    return path;
-}
+using test::scratchFile;
 
 TimelineRow
 sampleRow(const std::string &run_id)
@@ -86,7 +81,7 @@ TEST(TimelineRow, RejectsWrongSchema)
 
 TEST(Timeline, AppendThenLoadPreservesOrder)
 {
-    const auto path = tempFile("history.jsonl");
+    const auto path = scratchFile("history.jsonl");
     const Timeline timeline(path.string());
     for (int i = 0; i < 3; ++i)
         ASSERT_TRUE(
@@ -97,12 +92,11 @@ TEST(Timeline, AppendThenLoadPreservesOrder)
     ASSERT_EQ(rows.value().size(), 3u);
     for (int i = 0; i < 3; ++i)
         EXPECT_EQ(rows.value()[i].runId, strFormat("run-{}", i));
-    std::filesystem::remove_all(path.parent_path());
 }
 
 TEST(Timeline, MissingFileLoadsEmpty)
 {
-    const Timeline timeline(tempFile("never_written.jsonl").string());
+    const Timeline timeline(scratchFile("never_written.jsonl").string());
     const auto rows = timeline.load();
     ASSERT_TRUE(rows.ok());
     EXPECT_TRUE(rows.value().empty());
@@ -110,7 +104,7 @@ TEST(Timeline, MissingFileLoadsEmpty)
 
 TEST(Timeline, MalformedLineFailsWithPosition)
 {
-    const auto path = tempFile("torn.jsonl");
+    const auto path = scratchFile("torn.jsonl");
     const Timeline timeline(path.string());
     ASSERT_TRUE(timeline.append(sampleRow("run-0")).ok());
     ASSERT_TRUE(
@@ -119,25 +113,22 @@ TEST(Timeline, MalformedLineFailsWithPosition)
     ASSERT_FALSE(rows.ok());
     EXPECT_NE(rows.error().message.find(":2:"), std::string::npos)
         << rows.error().message;
-    std::filesystem::remove_all(path.parent_path());
 }
 
 TEST(Fsio, AppendFileRecordCreatesParentsAndTerminates)
 {
-    const auto path = tempFile("deep/nested/records.jsonl");
+    const auto path = scratchFile("deep/nested/records.jsonl");
     ASSERT_TRUE(appendFileRecord(path.string(), "one").ok());
     ASSERT_TRUE(appendFileRecord(path.string(), "two\n").ok());
     std::ifstream in(path);
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     EXPECT_EQ(text, "one\ntwo\n"); // exactly one '\n' per record
-    std::filesystem::remove_all(
-        std::filesystem::temp_directory_path() / "uvolt_timeline_test");
 }
 
 TEST(Timeline, ConcurrentAppendersNeverTearRows)
 {
-    const auto path = tempFile("concurrent.jsonl");
+    const auto path = scratchFile("concurrent.jsonl");
     constexpr int writers = 8;
     constexpr int rows_each = 25;
 
@@ -173,7 +164,6 @@ TEST(Timeline, ConcurrentAppendersNeverTearRows)
     }
     for (int w = 0; w < writers; ++w)
         EXPECT_EQ(seen[w], rows_each);
-    std::filesystem::remove_all(path.parent_path());
 }
 
 TEST(Timeline, NowIso8601Shape)

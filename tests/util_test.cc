@@ -21,6 +21,8 @@
 #include "util/stats.hh"
 #include "util/table.hh"
 
+#include "test_scratch.hh"
+
 namespace uvolt
 {
 namespace
@@ -398,9 +400,7 @@ TEST(Cli, TryParseSucceedsOnDeclaredFlags)
 
 TEST(Fsio, AtomicWriteCreatesParentsAndLeavesNoTemp)
 {
-    const auto root =
-        std::filesystem::temp_directory_path() / "uvolt-fsio-test";
-    std::filesystem::remove_all(root);
+    const auto root = test::scratchRoot();
     const std::string path = (root / "a" / "b" / "artifact.json").string();
 
     ASSERT_TRUE(writeFileAtomic(path, "first version").ok());
@@ -416,14 +416,11 @@ TEST(Fsio, AtomicWriteCreatesParentsAndLeavesNoTemp)
     content.assign((std::istreambuf_iterator<char>(again)),
                    std::istreambuf_iterator<char>());
     EXPECT_EQ(content, "second version");
-    std::filesystem::remove_all(root);
 }
 
 TEST(Fsio, FailedWriteKeepsPreviousContentAndReportsCode)
 {
-    const auto root =
-        std::filesystem::temp_directory_path() / "uvolt-fsio-fail";
-    std::filesystem::remove_all(root);
+    const auto root = test::scratchRoot();
     std::filesystem::create_directories(root / "occupied.tmp");
     // The temp slot is a directory: the write cannot land, and the
     // caller's chosen taxonomy code comes back.
@@ -433,7 +430,6 @@ TEST(Fsio, FailedWriteKeepsPreviousContentAndReportsCode)
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.error().code, Errc::badCheckpoint);
     EXPECT_FALSE(std::filesystem::exists(path));
-    std::filesystem::remove_all(root);
 }
 
 // --- stderr rate limiting -----------------------------------------------

@@ -491,6 +491,49 @@ TEST_P(FaultIndexProperty, CountEqualsTheReferenceWalkerAtEveryBoundary)
     }
 }
 
+TEST_P(FaultIndexProperty, TallyEqualsTheReferenceWalkerPerBram)
+{
+    const PlatformSpec &spec = findPlatform(GetParam());
+    const auto model = pmbus::sharedChipModel(spec);
+    const FaultOrder &order = model->faultOrder();
+    const auto probes =
+        boundaryProbes(order, spec.calib.bramVminMv / 1000.0);
+
+    fpga::Device device(spec);
+    std::vector<int> map(device.bramCount());
+    for (int content : kContents) {
+        fillContent(device, content);
+        for (double v : probes) {
+            const PolarityCounts split = tallyDomains(
+                order,
+                [&device](std::uint32_t b) {
+                    return device.bram(b).words();
+                },
+                v, map);
+            // The polarity spec: each active weak cell faults when it
+            // stores the value its polarity flips.
+            PolarityCounts walked;
+            for (std::uint32_t b = 0; b < device.bramCount(); ++b) {
+                ASSERT_EQ(map[b], model->countBramFaultsReference(
+                                      device.bram(b), b, v))
+                    << GetParam() << " content " << content << " at " << v
+                    << ", BRAM " << b;
+                for (const WeakCell &cell : model->weakCells(b)) {
+                    if (cellFailsAt(cell.thresholdV, v) &&
+                        device.bram(b).testBit(cell.row, cell.col) ==
+                            cell.oneToZero)
+                        ++(cell.oneToZero ? walked.oneToZero
+                                          : walked.zeroToOne);
+                }
+            }
+            ASSERT_EQ(split.oneToZero, walked.oneToZero)
+                << GetParam() << " content " << content << " at " << v;
+            ASSERT_EQ(split.zeroToOne, walked.zeroToOne)
+                << GetParam() << " content " << content << " at " << v;
+        }
+    }
+}
+
 TEST_P(FaultIndexProperty, BoardRebuildsTheIndexWhenContentChanges)
 {
     const PlatformSpec &spec = findPlatform(GetParam());
