@@ -2,13 +2,14 @@
  * @file
  * The unified benchmark binary: every hot path of the library on one
  * UVOLT_BENCHMARK harness, one results table, one schema-versioned
- * BENCH_uvolt.json that scripts/check_regression.py gates CI with.
+ * BENCH_uvolt.json. CI's perf leg runs it for two builds on one host
+ * and compares the pairs with scripts/check_regression.py.
  *
- * Coverage: the sweep inner loop (telemetry off and on), BRAM readback
- * and device-wide fault counting at Vcrash, fleet fan-out at 0/1/8
- * workers, the FvmCache hit path, CRC-16 frame encode, SECDED decode,
- * k-means clustering, weight quantization, ICBP placement, and MNIST
- * inference/generation. Not a paper figure — engineering telemetry for
+ * Coverage: the sweep inner loop's memo hit (telemetry off and on),
+ * BRAM readback and device-wide fault counting at Vcrash (memo hit and
+ * fresh jitter), fleet fan-out at 0/1/8 workers, the FvmCache hit
+ * path, CRC-16 frame encode, SECDED decode, k-means clustering, weight
+ * quantization, ICBP placement, and MNIST inference/generation. Not a paper figure — engineering telemetry for
  * the simulator itself (the old micro_perf binary, re-homed).
  *
  * After the suite, the telemetry off/on sweep benches are compared and
@@ -28,8 +29,6 @@
 #include "data/synthetic.hh"
 #include "harness/campaign.hh"
 #include "harness/fvm.hh"
-#include "harness/ledger.hh"
-#include "harness/timeline.hh"
 #include "mem/catalog.hh"
 #include "mem/sweep.hh"
 #include "nn/network.hh"
@@ -86,7 +85,13 @@ deviceFaultPass(pmbus::Board &board)
     return board.countDeviceFaults();
 }
 
-UVOLT_BENCHMARK(BM_DeviceFaultCount)
+/**
+ * A parked board's count at an unchanged (content epoch, voltage) is
+ * answered from the board's memo after the first iteration, so this
+ * row (and the two sweep inner-loop rows) times one memo hit; the
+ * FreshJitter row below times the count itself.
+ */
+UVOLT_BENCHMARK(BM_DeviceFaultCountMemoHit)
 {
     auto &board = vc707();
     parkAtVcrash(board);
@@ -99,8 +104,9 @@ UVOLT_BENCHMARK(BM_DeviceFaultCount)
  * The memo-defeating variant: every iteration draws fresh supply
  * jitter, so the effective voltage changes and the count searches the
  * board's fault index for real instead of replaying the (content
- * epoch, voltage) memo BM_DeviceFaultCount converges to. The content
- * never changes, so the index is built by the first iteration only.
+ * epoch, voltage) memo BM_DeviceFaultCountMemoHit converges to. The
+ * content never changes, so the index is built by the first iteration
+ * only.
  */
 UVOLT_BENCHMARK(BM_DeviceFaultCountFreshJitter)
 {
@@ -113,7 +119,7 @@ UVOLT_BENCHMARK(BM_DeviceFaultCountFreshJitter)
     board.softReset();
 }
 
-UVOLT_BENCHMARK(BM_SweepInnerLoopTelemetryOff)
+UVOLT_BENCHMARK(BM_SweepInnerLoopMemoHitTelemetryOff)
 {
     auto &board = vc707();
     parkAtVcrash(board);
@@ -123,7 +129,7 @@ UVOLT_BENCHMARK(BM_SweepInnerLoopTelemetryOff)
     board.softReset();
 }
 
-UVOLT_BENCHMARK(BM_SweepInnerLoopTelemetryOn)
+UVOLT_BENCHMARK(BM_SweepInnerLoopMemoHitTelemetryOn)
 {
     auto &board = vc707();
     parkAtVcrash(board);
@@ -337,9 +343,8 @@ UVOLT_BENCHMARK(BM_MnistGeneration)
  * with a mid-size MLP. Three variants share net and data so their
  * ratios isolate the engine: the per-sample scalar reference, the
  * blocked/vectorized batched kernel, and the batched kernel fanned over
- * an 8-worker pool. All three return bit-identical error rates; the
- * perf gate tracks each one and the speedup is asserted in CI via the
- * committed baseline.
+ * an 8-worker pool. All three return bit-identical error rates, and
+ * the perf gate tracks each one.
  */
 const nn::Network &
 evalNet()
@@ -407,8 +412,10 @@ findResult(const std::vector<bench::BenchResult> &results,
 void
 writeTelemetryComparison(const std::vector<bench::BenchResult> &results)
 {
-    const auto *off = findResult(results, "BM_SweepInnerLoopTelemetryOff");
-    const auto *on = findResult(results, "BM_SweepInnerLoopTelemetryOn");
+    const auto *off =
+        findResult(results, "BM_SweepInnerLoopMemoHitTelemetryOff");
+    const auto *on =
+        findResult(results, "BM_SweepInnerLoopMemoHitTelemetryOn");
     if (!off || !on || off->wall.minNs <= 0.0)
         return;
     const char *compiled =
@@ -441,8 +448,6 @@ main(int argc, char **argv)
                   "calibrated minimum time per repeat");
     cli.addString("filter", "", "substring filter on benchmark names");
     cli.addBool("list", "list registered benchmarks and exit");
-    cli.addString("timeline", harness::Timeline::defaultPath(),
-                  "perf-timeline JSONL to append to (\"\" disables)");
     if (!cli.parse(argc, argv))
         return 0;
 
@@ -474,33 +479,5 @@ main(int argc, char **argv)
     std::printf("\nwrote %zu benchmark(s) to %s (git %s)\n",
                 results.size(), out.c_str(),
                 bench::buildGitSha().c_str());
-
-    // One uvolt-timeline-v1 row per suite run: median ns/iter of every
-    // bench, keyed by name, for scripts/check_drift.py's history gate.
-    if (const std::string timeline_path = cli.getString("timeline");
-        !timeline_path.empty()) {
-        double total_ms = 0.0;
-        harness::TimelineRow row;
-        row.tool = "bench_all";
-        row.gitSha = bench::buildGitSha();
-        row.startedAtIso = harness::nowIso8601();
-        row.configDigest = harness::configDigest(
-            strFormat("bench_all;repeats={};min_time_ms={};filter={}",
-                      options.repeats, options.minTimeMs,
-                      options.filter));
-        row.runId = strFormat("{}-{}", row.configDigest.substr(0, 8),
-                              row.startedAtIso);
-        row.workers = 1;
-        for (const auto &result : results) {
-            row.metrics.emplace_back(result.name + ".median_ns",
-                                     result.wall.medianNs);
-            total_ms += result.wall.medianNs / 1e6;
-        }
-        row.durationMs = total_ms;
-        harness::Timeline timeline(timeline_path);
-        if (timeline.append(row).ok())
-            std::printf("timeline: appended run %s -> %s\n",
-                        row.runId.c_str(), timeline.path().c_str());
-    }
     return 0;
 }

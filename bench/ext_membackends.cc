@@ -17,9 +17,7 @@
  *      results/ext_membackends.csv. Every value in the CSV is a pure
  *      function of the catalog specs and the seeded fault
  *      personalities — no wall-clock — so CI compares it byte-for-byte
- *      against the committed golden (goldens/ext_membackends.csv),
- *  (c) one uvolt-timeline-v1 row (serial/parallel wall clock, speedup)
- *      is appended for scripts/check_drift.py.
+ *      against the committed golden (goldens/ext_membackends.csv).
  */
 
 #include <chrono>
@@ -27,10 +25,7 @@
 #include <iostream>
 
 #include "harness/campaign.hh"
-#include "harness/ledger.hh"
-#include "harness/timeline.hh"
 #include "mem/catalog.hh"
-#include "util/bench.hh"
 #include "util/format.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
@@ -76,8 +71,6 @@ sameFleet(const harness::FleetResult &a, const harness::FleetResult &b)
 int
 main()
 {
-    const std::string started_at = harness::nowIso8601();
-    const auto run_start = std::chrono::steady_clock::now();
     std::printf("# Extension: heterogeneous memory fleet "
                 "(BRAM + HBM + MoRS-SRAM)\n\n");
 
@@ -137,25 +130,6 @@ main()
     writeCsv(table, "results/ext_membackends.csv");
     std::printf("\nwrote results/ext_membackends.csv (golden: "
                 "goldens/ext_membackends.csv)\n");
-
-    // --- (c) perf timeline row --------------------------------------------
-    harness::TimelineRow row;
-    row.tool = "ext_membackends";
-    row.gitSha = bench::buildGitSha();
-    row.startedAtIso = started_at;
-    row.configDigest = harness::configDigest(
-        "ext_membackends;devices=3;patterns=2;sweep=9");
-    row.runId = strFormat("{}-{}", row.configDigest.substr(0, 8),
-                          started_at);
-    row.workers = 8;
-    row.durationMs = msSince(run_start);
-    row.metrics = {{"serial_ms", serial_ms},
-                   {"parallel_ms", parallel_ms},
-                   {"speedup", serial_ms / parallel_ms}};
-    harness::Timeline timeline;
-    if (timeline.append(row).ok())
-        std::printf("timeline: appended run %s -> %s\n",
-                    row.runId.c_str(), timeline.path().c_str());
 
     std::printf("\nshape: three technologies through one FleetEngine, "
                 "bit-identical at\n0/1/8 workers; the envelope CSV is "

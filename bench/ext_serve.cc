@@ -37,9 +37,7 @@
  * run (--profile-out collapsed stacks, --flame-out self-contained
  * flame graph), and a run-ledger manifest recording where all of it
  * went. scripts/check_trace.py validates the lot in the CI
- * observability leg, and one uvolt-timeline-v1 row (p50/p99/req-cost,
- * profile top-frames) is appended to the perf timeline for
- * scripts/check_drift.py.
+ * observability leg.
  */
 
 #include <algorithm>
@@ -58,7 +56,6 @@
 #include "harness/experiment.hh"
 #include "harness/ledger.hh"
 #include "harness/report.hh"
-#include "harness/timeline.hh"
 #include "nn/network.hh"
 #include "pmbus/fault_injector.hh"
 #include "serve/server.hh"
@@ -241,8 +238,6 @@ main(int argc, char **argv)
                   "collapsed-stack profile (\"\" disables sampling)");
     cli.addString("flame-out", "results/profile_ext_serve.html",
                   "flame graph HTML (\"\" disables)");
-    cli.addString("timeline", harness::Timeline::defaultPath(),
-                  "perf-timeline JSONL to append to (\"\" disables)");
     const auto parsed = cli.tryParse(argc, argv);
     if (!parsed.ok()) {
         std::fprintf(stderr, "ext_serve: %s\n",
@@ -564,39 +559,6 @@ main(int argc, char **argv)
             std::printf("manifest -> %s/run_manifest.json\n",
                         ledger_dir.c_str());
         }
-    }
-
-    // --- perf timeline row ------------------------------------------------
-    if (const std::string timeline_path = cli.getString("timeline");
-        !timeline_path.empty()) {
-        harness::TimelineRow row;
-        row.tool = "ext_serve";
-        row.gitSha = bench::buildGitSha();
-        row.startedAtIso = started_at;
-        row.configDigest = harness::configDigest(strFormat(
-            "serve;requests={};clients={};workers={};queue={};"
-            "noisy={};seed={}",
-            requests, clients, cli.getInt("workers"),
-            cli.getInt("queue-capacity"), noisy ? 1 : 0, seed));
-        row.runId = strFormat("{}-{}", row.configDigest.substr(0, 8),
-                              started_at);
-        row.workers =
-            static_cast<std::uint64_t>(cli.getInt("workers"));
-        row.durationMs = load_ms;
-        row.metrics = {
-            {"e2e_p50_ms", p50_ms},
-            {"e2e_p99_ms", p99_ms},
-            {"req_cost_ms",
-             stats.completed
-                 ? load_ms / static_cast<double>(stats.completed)
-                 : 0.0},
-            {"throughput_rps", throughput}};
-        for (const auto &frame : profile.topFrames(5))
-            row.topFrames.emplace_back(frame.name, frame.self);
-        harness::Timeline timeline(timeline_path);
-        if (timeline.append(row).ok())
-            std::printf("timeline: appended run %s -> %s\n",
-                        row.runId.c_str(), timeline.path().c_str());
     }
 
     std::printf("\nlatency rows -> %s (gate: "

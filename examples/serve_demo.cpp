@@ -120,8 +120,14 @@ main(int argc, char **argv)
     serve::CharacterizeRequest characterize;
     characterize.platform = cli.getString("platform");
     characterize.runsPerLevel = 3;
-    auto sweep_future =
-        server.submitCharacterize(characterize).orFatal();
+    // Admission refuses a malformed request (an unknown platform, or an
+    // HBM/SRAM one on a noisy server) with a typed error; the demo
+    // reports it and carries on with the classify traffic.
+    auto sweep_future = server.submitCharacterize(characterize);
+    if (!sweep_future.ok())
+        std::printf("characterize %s refused: %s\n",
+                    characterize.platform.c_str(),
+                    sweep_future.error().message.c_str());
 
     const data::Dataset set = data::makeForestLike(64, 5);
     std::vector<std::future<Expected<serve::ClassifyResponse>>> burst;
@@ -137,11 +143,14 @@ main(int argc, char **argv)
         burst.push_back(server.submitClassify(request).orFatal());
     }
 
-    const auto sweep = sweep_future.get().orFatal();
-    std::printf("characterize %s: %zu voltage levels, %d attempt(s)%s\n",
-                characterize.platform.c_str(),
-                sweep.sweep.points.size(), sweep.attempts,
-                sweep.resumed ? ", resumed from checkpoint" : "");
+    if (sweep_future.ok()) {
+        const auto sweep = sweep_future.value().get().orFatal();
+        std::printf("characterize %s: %zu voltage levels, %d "
+                    "attempt(s)%s\n",
+                    characterize.platform.c_str(),
+                    sweep.sweep.points.size(), sweep.attempts,
+                    sweep.resumed ? ", resumed from checkpoint" : "");
+    }
     int coalesced = 0;
     for (auto &future : burst) {
         const auto response = future.get().orFatal();

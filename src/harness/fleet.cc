@@ -526,19 +526,6 @@ FleetEngine::runMemJob(const FleetPlan &plan, const FleetJob &job) const
 namespace
 {
 
-/** UTC wall clock as "2026-08-05T12:34:56Z". */
-std::string
-nowIso8601()
-{
-    const std::time_t now = std::chrono::system_clock::to_time_t(
-        std::chrono::system_clock::now());
-    std::tm utc = {};
-    gmtime_r(&now, &utc);
-    return strFormat("{}-{:02}-{:02}T{:02}:{:02}:{:02}Z",
-                     utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday,
-                     utc.tm_hour, utc.tm_min, utc.tm_sec);
-}
-
 /** Canonical plan description the config digest hashes. */
 std::string
 canonicalPlan(const FleetPlan &plan, const FleetOptions &options)

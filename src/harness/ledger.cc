@@ -15,6 +15,18 @@ namespace uvolt::harness
 {
 
 std::string
+nowIso8601()
+{
+    const std::time_t now = std::chrono::system_clock::to_time_t(
+        std::chrono::system_clock::now());
+    std::tm utc = {};
+    gmtime_r(&now, &utc);
+    return strFormat("{}-{:02}-{:02}T{:02}:{:02}:{:02}Z",
+                     utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday,
+                     utc.tm_hour, utc.tm_min, utc.tm_sec);
+}
+
+std::string
 configDigest(const std::string &canonical)
 {
     std::uint64_t hash = 14695981039346656037ull; // FNV offset basis

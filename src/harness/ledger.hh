@@ -24,8 +24,7 @@
  * telemetry counter snapshot, artifact paths, and per-die headline
  * rates. RunManifest::load() parses it back (util/json.hh), so tools
  * and tests can treat the ledger as a queryable record instead of an
- * opaque log; scripts/check_regression.py accepts a manifest pair for
- * duration/counter drift checks.
+ * opaque log.
  */
 
 #ifndef UVOLT_HARNESS_LEDGER_HH
@@ -96,6 +95,9 @@ struct RunManifest
     /** Load and parse the manifest at @a path. */
     static Expected<RunManifest> load(const std::string &path);
 };
+
+/** Wall-clock UTC "YYYY-MM-DDTHH:MM:SSZ" for RunManifest::startedAtIso. */
+std::string nowIso8601();
 
 /** FNV-1a 64-bit over a canonical description, as 16 hex digits. */
 std::string configDigest(const std::string &canonical);

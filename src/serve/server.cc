@@ -311,10 +311,35 @@ UvoltServer::submitCharacterize(CharacterizeRequest request)
                                        "'{}'",
                                        request.platform));
     }
-    if (request.runsPerLevel <= 0) {
+    if (config_.noise && mem::technologyOfName(request.platform) !=
+                             mem::Technology::bram) {
+        return refuseInvalid(makeError(
+            Errc::invalidRequest,
+            "characterize: noise injection is BRAM-only, '{}' is {}",
+            request.platform,
+            mem::technologyName(mem::technologyOfName(request.platform))));
+    }
+    if (!std::isfinite(request.ambientC)) {
+        return refuseInvalid(makeError(Errc::invalidRequest,
+                                       "characterize: ambientC must be "
+                                       "finite, got {}",
+                                       request.ambientC));
+    }
+    if (request.pattern.kind == harness::PatternSpec::Kind::Random &&
+        !(request.pattern.oneDensity >= 0.0 &&
+          request.pattern.oneDensity <= 1.0)) {
+        return refuseInvalid(makeError(Errc::invalidRequest,
+                                       "characterize: random pattern "
+                                       "oneDensity must lie in [0, 1], "
+                                       "got {}",
+                                       request.pattern.oneDensity));
+    }
+    if (request.runsPerLevel <= 0 ||
+        request.runsPerLevel > maxRunsPerLevel) {
         return refuseInvalid(makeError(Errc::invalidRequest,
                                        "characterize: runsPerLevel must "
-                                       "be positive, got {}",
+                                       "lie in [1, {}], got {}",
+                                       maxRunsPerLevel,
                                        request.runsPerLevel));
     }
     return admit<CharacterizeRequest, CharacterizeResponse>(

@@ -79,6 +79,13 @@ enum class Priority
     normal, ///< served in every state
 };
 
+/**
+ * Admission's cap on CharacterizeRequest::runsPerLevel: a hundred
+ * times the paper's 100 runs per level. The sweep sizes per-level
+ * buffers from the request, so an absurd count is refused up front.
+ */
+inline constexpr int maxRunsPerLevel = 10000;
+
 /** Run a Listing-1 characterization campaign for a tenant. */
 struct CharacterizeRequest
 {
@@ -148,7 +155,8 @@ struct ServerConfig
     harness::FvmCache *fvmCache = nullptr;
 
     /** Harsh environment for every characterize board (the PR 1
-     *  injector); reseeded per request + attempt. */
+     *  injector); reseeded per request + attempt. BRAM-only: a noisy
+     *  server refuses HBM/SRAM characterize requests at admission. */
     std::optional<pmbus::NoiseConfig> noise;
 
     harness::RecoveryPolicy recovery; ///< per-run watchdog budget
@@ -252,9 +260,12 @@ class UvoltServer
 
     /**
      * Admit a characterization campaign. Synchronous refusals come
-     * back as Errors (invalidRequest for an unknown platform or a
-     * non-positive runsPerLevel; queueFull, serverStopped, loadShed);
-     * an admitted request resolves its future exactly once.
+     * back as Errors (invalidRequest for an unknown platform, an
+     * HBM/SRAM platform on a noisy server, a non-finite ambientC, a
+     * random pattern whose oneDensity is outside [0, 1], or
+     * runsPerLevel outside [1, maxRunsPerLevel]; queueFull,
+     * serverStopped, loadShed); an admitted request resolves its
+     * future exactly once.
      */
     Expected<std::future<Expected<CharacterizeResponse>>>
     submitCharacterize(CharacterizeRequest request);
@@ -357,9 +368,9 @@ class UvoltServer
 
     /**
      * Non-BRAM devices: time-sliced backend sweep. The stateless mem
-     * jitter stream makes slices resumable without checkpoint files,
-     * and the injected-noise config is ignored (it drives a
-     * pmbus::Board, which only the BRAM path has).
+     * jitter stream makes slices resumable without checkpoint files.
+     * Admission keeps these requests off a noisy server: the injector
+     * drives a pmbus::Board, which only the BRAM path has.
      */
     Expected<CharacterizeResponse>
     characterizeMemOnce(const CharacterizeRequest &request,

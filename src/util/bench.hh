@@ -28,7 +28,10 @@
  *
  * Results export through benchJson() as the schema-versioned
  * "uvolt-bench-v1" document (machine info, git SHA, per-benchmark
- * stats) that scripts/check_regression.py diffs in CI.
+ * stats). CI's perf leg runs two builds on one host in alternating
+ * pairs, and scripts/check_regression.py gates the median paired
+ * ratio of the min; no document is compared with one from another
+ * host.
  */
 
 #ifndef UVOLT_UTIL_BENCH_HH

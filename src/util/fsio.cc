@@ -4,9 +4,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 namespace uvolt
 {
 
@@ -43,40 +40,6 @@ writeFileAtomic(const std::string &path, std::string_view content,
         std::filesystem::remove(temp, ec);
         return makeError(error_code, "cannot rename '{}' over '{}'",
                          temp, path);
-    }
-    return {};
-}
-
-Expected<void>
-appendFileRecord(const std::string &path, std::string_view record,
-                 Errc error_code)
-{
-    const std::filesystem::path destination(path);
-    if (destination.has_parent_path()) {
-        std::error_code ec;
-        std::filesystem::create_directories(destination.parent_path(),
-                                            ec);
-    }
-
-    std::string line(record);
-    if (line.empty() || line.back() != '\n')
-        line.push_back('\n');
-
-    const int fd = ::open(path.c_str(),
-                          O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-                          0644);
-    if (fd < 0) {
-        return makeError(error_code, "cannot open '{}' for appending",
-                         path);
-    }
-    // One write() call: O_APPEND makes the offset advance atomic, and a
-    // single syscall keeps the record contiguous under concurrency.
-    const ssize_t written = ::write(fd, line.data(), line.size());
-    ::close(fd);
-    if (written != static_cast<ssize_t>(line.size())) {
-        return makeError(error_code, "short append to '{}' ({} of {})",
-                         path, static_cast<long long>(written),
-                         line.size());
     }
     return {};
 }

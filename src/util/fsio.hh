@@ -37,20 +37,6 @@ Expected<void> writeFileAtomic(const std::string &path,
                                std::string_view content,
                                Errc error_code = Errc::cacheMiss);
 
-/**
- * Append one record to @a path in a single O_APPEND write. POSIX
- * guarantees the kernel serializes the offset advance for O_APPEND
- * writes, so concurrent appenders (parallel bench runs stamping the
- * same timeline) interleave whole records — never torn or overlapping
- * lines. A trailing newline is added when @a record does not end with
- * one; parent directories are created. Built for line-oriented logs
- * (timeline.jsonl); the atomicity claim holds for records well under
- * the pipe-buffer bound, which a one-line JSON row always is.
- */
-Expected<void> appendFileRecord(const std::string &path,
-                                std::string_view record,
-                                Errc error_code = Errc::cacheMiss);
-
 } // namespace uvolt
 
 #endif // UVOLT_UTIL_FSIO_HH

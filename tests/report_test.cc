@@ -348,6 +348,15 @@ TEST(Ledger, ConfigDigestIsStableAndDiscriminating)
               std::string::npos);
 }
 
+TEST(Ledger, NowIso8601Shape)
+{
+    const std::string stamp = nowIso8601();
+    ASSERT_EQ(stamp.size(), 20u);
+    EXPECT_EQ(stamp[4], '-');
+    EXPECT_EQ(stamp[10], 'T');
+    EXPECT_EQ(stamp.back(), 'Z');
+}
+
 TEST(Ledger, RecordWritesLatestAndHistory)
 {
     const std::string dir = scratchDir("uvolt-ledger-record");

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -505,6 +506,56 @@ TEST(ServeMalformed, MisShapedClassifyPayloadIsRefused)
             request.sampleCount = 0;
         return server.submitClassify(std::move(request)).code();
     });
+}
+
+TEST(ServeMalformed, HostileTenantIsRefusedAmidGoodTraffic)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    int offer = 0;
+    refusedAmidGoodTraffic([&](UvoltServer &server) {
+        CharacterizeRequest request = goodCharacterize(50.0);
+        switch (offer++) {
+        case 0: request.ambientC = nan; break;
+        case 1: request.ambientC = inf; break;
+        case 2: request.ambientC = -inf; break;
+        case 3: request.pattern = PatternSpec::random(nan, 3); break;
+        case 4: request.pattern = PatternSpec::random(1.5, 3); break;
+        case 5: request.pattern = PatternSpec::random(-0.25, 3); break;
+        case 6: request.runsPerLevel = maxRunsPerLevel + 1; break;
+        default:
+            request.runsPerLevel = std::numeric_limits<int>::max();
+            break;
+        }
+        return server.submitCharacterize(std::move(request)).code();
+    });
+}
+
+TEST(ServeMalformed, NoisyServerRefusesNonBramPlatforms)
+{
+    ServerConfig config;
+    config.workers = 1;
+    config.noise = pmbus::NoiseConfig::harsh(0, 0.02);
+    UvoltServer server(std::move(config));
+    for (const std::string platform : {"HBM2-A", "MORS-SRAM-A"}) {
+        CharacterizeRequest request = goodCharacterize(50.0);
+        request.platform = platform;
+        auto refused = server.submitCharacterize(std::move(request));
+        ASSERT_FALSE(refused.ok()) << platform;
+        EXPECT_EQ(refused.code(), Errc::invalidRequest);
+        EXPECT_NE(refused.error().message.find(platform),
+                  std::string::npos);
+    }
+    // The same noisy server still serves BRAM.
+    auto bram = server.submitCharacterize(goodCharacterize(50.0));
+    ASSERT_TRUE(bram.ok());
+    EXPECT_TRUE(bram.value().get().ok());
+    server.drain();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.invalid, 2u);
+    EXPECT_EQ(stats.admitted, 1u);
+    EXPECT_EQ(stats.completed, 1u);
+    server.stop();
 }
 
 // --- deadlines -----------------------------------------------------------

@@ -1,9 +1,9 @@
 /**
  * @file
  * Per-test scratch space under the system temp root. ctest runs every
- * test case as its own process, in parallel, so a fixed path such as
- * $TMPDIR/uvolt_timeline_test is shared by cases that delete each
- * other's files. Each running test instead gets its own root,
+ * test case as its own process, in parallel, so a fixed path under
+ * $TMPDIR is shared by cases that delete each other's files. Each
+ * running test instead gets its own root,
  * $TMPDIR/uvolt-<Suite>.<Test>-<pid>, which a gtest listener removes
  * when the test ends.
  */
