@@ -10,7 +10,7 @@
  *     fault injector storming every channel — and every response must
  *     be bit-identical. The masking guarantee ("the noisy run IS the
  *     clean run") has to survive admission, retries, coalescing and
- *     checkpointed slicing, not just the raw sweep loop.
+ *     sweep slicing, not just the raw sweep loop.
  *
  *  2. Closed-loop load. N requests issued by C client threads, each
  *     waiting for its response before submitting the next (closed

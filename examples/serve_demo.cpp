@@ -25,7 +25,7 @@
  * sampler, started alongside the pulse thread.
  *
  * Usage: serve_demo [--platform ZC702] [--workers 2] [--noise]
- *                   [--checkpoint-dir DIR] [--watch]
+ *                   [--watch]
  *                   [--prom-out results/serve_demo_metrics.prom]
  */
 
@@ -53,9 +53,6 @@ main(int argc, char **argv)
     cli.addString("platform", "ZC702", "board to characterize");
     cli.addInt("workers", 2, "serving threads");
     cli.addBool("noise", "serve through the harsh-environment injector");
-    cli.addString("checkpoint-dir", "",
-                  "characterize checkpoint directory (enables "
-                  "resume-after-restart)");
     cli.addBool("watch", "print the live status screen between phases "
                          "and keep a Prometheus snapshot current");
     cli.addString("prom-out", "results/serve_demo_metrics.prom",
@@ -82,7 +79,6 @@ main(int argc, char **argv)
 
     serve::ServerConfig config;
     config.workers = static_cast<std::size_t>(cli.getInt("workers"));
-    config.checkpointDir = cli.getString("checkpoint-dir");
     if (cli.getBool("noise"))
         config.noise = pmbus::NoiseConfig::harsh(3, 0.02);
     config.health.window = 8;
@@ -146,10 +142,9 @@ main(int argc, char **argv)
     if (sweep_future.ok()) {
         const auto sweep = sweep_future.value().get().orFatal();
         std::printf("characterize %s: %zu voltage levels, %d "
-                    "attempt(s)%s\n",
+                    "attempt(s)\n",
                     characterize.platform.c_str(),
-                    sweep.sweep.points.size(), sweep.attempts,
-                    sweep.resumed ? ", resumed from checkpoint" : "");
+                    sweep.sweep.points.size(), sweep.attempts);
     }
     int coalesced = 0;
     for (auto &future : burst) {

@@ -3,8 +3,8 @@
 # AddressSanitizer+UBSan build (UVOLT_SANITIZE=ON), and a
 # ThreadSanitizer build (UVOLT_SANITIZE=thread) of the concurrent
 # suites. The ASan pass exists for the resilience layer in particular —
-# retry loops, crash recovery, and checkpoint resume juggle buffers and
-# board state in ways worth running under ASan every time. The TSan
+# retry loops and crash recovery juggle buffers and board state in ways
+# worth running under ASan every time. The TSan
 # pass guards the fleet engine: the ThreadPool, the single-flight
 # FvmCache, and parallel campaigns sharing chip models. The perf leg
 # compares the checkout with its merge-base and its last re-anchor
@@ -33,7 +33,7 @@ echo "== fatal() ratchet: call sites in src/ may only go down =="
 # a file or a frame can carry gets a typed Errc instead. The committed
 # count may only be lowered: a change that removes call sites lowers it
 # here, one that adds a site fails this leg.
-fatal_max=160
+fatal_max=157
 fatal_now=$(grep -rnE '(^|[^A-Za-z_])fatal\(' src |
     grep -cvE '^[^:]+:[0-9]+:[[:space:]]*(//|\*|/\*)' || true)
 echo "fatal( call sites in src/: $fatal_now (ratchet $fatal_max)"

@@ -112,13 +112,6 @@ Campaign::recovery(const RecoveryPolicy &policy)
 }
 
 Campaign &
-Campaign::checkpointUnder(std::string directory)
-{
-    options_.checkpointDir = std::move(directory);
-    return *this;
-}
-
-Campaign &
 Campaign::cacheInto(FvmCache &cache)
 {
     options_.fvmCache = &cache;

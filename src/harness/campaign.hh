@@ -2,8 +2,7 @@
  * @file
  * The one-stop front door of the harness: a fluent builder that turns
  * "which dies, which patterns, which temperatures, how many runs" into
- * a fleet campaign, without touching boards, sweeps, checkpoints, or
- * caches directly.
+ * a fleet campaign, without touching boards, sweeps or caches directly.
  *
  *     auto result = Campaign::onPlatform("VC707")
  *                       .withPattern(PatternSpec::allOnes())
@@ -84,9 +83,6 @@ class Campaign
 
     /** Watchdog crash-recovery budget per measurement run. */
     Campaign &recovery(const RecoveryPolicy &policy);
-
-    /** Persist per-job checkpoints here; re-running resumes the fleet. */
-    Campaign &checkpointUnder(std::string directory);
 
     /** Publish each die's merged FVM into this cache. */
     Campaign &cacheInto(FvmCache &cache);

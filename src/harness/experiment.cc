@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "harness/checkpoint.hh"
 #include "harness/fault_analyzer.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
@@ -27,8 +26,6 @@ struct SweepMetrics
         telemetry::Registry::global().counter("sweep.crash_recoveries");
     telemetry::Counter &runsRetried =
         telemetry::Registry::global().counter("sweep.runs_retried");
-    telemetry::Counter &checkpointResumes =
-        telemetry::Registry::global().counter("sweep.checkpoint_resumes");
     telemetry::Histogram &levelMs = telemetry::Registry::global().histogram(
         "sweep.level_ms",
         {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000});
@@ -72,6 +69,17 @@ fillPattern(pmbus::Board &board, const PatternSpec &pattern)
             bram.writeRow(row, word);
         }
     }
+}
+
+ResilienceReport &
+ResilienceReport::operator+=(const ResilienceReport &other)
+{
+    crashRecoveries += other.crashRecoveries;
+    runsRetried += other.runsRetried;
+    linkRetransmits += other.linkRetransmits;
+    pmbusRetries += other.pmbusRetries;
+    checkpointResumes += other.checkpointResumes;
+    return *this;
 }
 
 double
@@ -408,36 +416,15 @@ tryRunCriticalSweep(pmbus::Board &board, const SweepOptions &options)
 
     const std::uint64_t total_bits = board.device().totalBits();
 
-    // --- checkpoint resume ----------------------------------------------
-    int start_mv = from;
-    std::vector<double> partial_counts;
-    SweepCheckpoint *checkpoint = options.checkpoint;
-    if (checkpoint && checkpoint->valid) {
-        if (auto valid = tryValidateCheckpoint(*checkpoint, board,
-                                               options, from, down_to);
-            !valid.ok())
-            return valid.error();
-        result.points = checkpoint->completedPoints;
-        start_mv = checkpoint->currentLevelMv;
-        partial_counts = checkpoint->currentRunCounts;
-        board.fastForwardRuns(checkpoint->runsStarted);
-        ++result.resilience.checkpointResumes;
-        sweepMetrics().checkpointResumes.increment();
-    } else if (checkpoint) {
-        *checkpoint = makeCheckpoint(board, options, from, down_to);
-        checkpoint->currentLevelMv = start_mv;
-        checkpoint->valid = true;
-    }
-
     Watchdog watchdog{board,   options.pattern, fpga::RailId::VccBram,
                       0,       options.recovery, &result.resilience};
 
     int levels_this_call = 0;
     bool finished = true;
-    for (int mv = start_mv; mv >= down_to; mv -= options.stepMv) {
+    for (int mv = from; mv >= down_to; mv -= options.stepMv) {
         if (options.maxLevels > 0 &&
             levels_this_call >= options.maxLevels) {
-            // Budget exhausted: leave a resumable checkpoint behind.
+            // Budget exhausted: the caller continues one step below.
             finished = false;
             break;
         }
@@ -454,13 +441,10 @@ tryRunCriticalSweep(pmbus::Board &board, const SweepOptions &options)
 
         SweepPoint point;
         point.vccBramMv = mv;
-        point.runCounts = std::move(partial_counts);
-        partial_counts.clear();
         point.runCounts.reserve(
             static_cast<std::size_t>(options.runsPerLevel));
 
-        for (int run = static_cast<int>(point.runCounts.size());
-             run < options.runsPerLevel; ++run) {
+        for (int run = 0; run < options.runsPerLevel; ++run) {
             board.startRun();
             sweepMetrics().runs.increment();
             auto count = countDeviceFaultsRecoverable(watchdog);
@@ -468,10 +452,6 @@ tryRunCriticalSweep(pmbus::Board &board, const SweepOptions &options)
                 return count.error();
             point.runCounts.push_back(
                 static_cast<double>(count.value()));
-            if (checkpoint) {
-                checkpoint->currentRunCounts = point.runCounts;
-                checkpoint->runsStarted = board.runsStarted();
-            }
         }
         finalizePointStats(point, total_bits);
         point.bramPowerW = board.measureBramPowerW();
@@ -490,20 +470,9 @@ tryRunCriticalSweep(pmbus::Board &board, const SweepOptions &options)
                 static_cast<double>(telemetry::nowNs() - level_start_ns) /
                 1e6);
         }
-
-        if (checkpoint) {
-            checkpoint->completedPoints = result.points;
-            checkpoint->currentLevelMv = mv - options.stepMv;
-            checkpoint->currentRunCounts.clear();
-            checkpoint->runsStarted = board.runsStarted();
-            if (!options.checkpointPath.empty())
-                saveCheckpointFile(*checkpoint, options.checkpointPath);
-        }
     }
 
     result.truncated = !finished;
-    if (checkpoint && finished)
-        checkpoint->valid = false; // campaign complete; nothing to resume
 
     baseline.fold(board, result.resilience);
     if (auto reset = board.trySoftReset(); !reset.ok())

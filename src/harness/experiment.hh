@@ -16,11 +16,17 @@
  *
  * Both campaigns are resilient: a watchdog detects DONE-low (real or
  * injected spurious crashes), recovers the board by reconfiguration —
- * soft reset, pattern re-fill, setpoint restore — and resumes from a
- * per-level checkpoint of partial run counts, retrying the interrupted
- * run under its original supply jitter so the completed campaign is
- * bit-identical to an undisturbed one. The checkpoint can also be
- * serialized (harness/checkpoint.hh) to survive host-process death.
+ * soft reset, pattern re-fill, setpoint restore — and retries the
+ * interrupted run under its original supply jitter so the completed
+ * campaign is bit-identical to an undisturbed one.
+ *
+ * A sweep is sliced with SweepOptions::maxLevels and continued by
+ * calling it again on the same live board, starting one step below
+ * the last measured level (fromMv = points.back() - stepMv). The
+ * board's run-jitter stream carries over between the calls, so the
+ * slices concatenate to the unsliced campaign bit for bit. A host that
+ * dies mid-campaign re-runs it: every result is a pure function of its
+ * seeds.
  */
 
 #ifndef UVOLT_HARNESS_EXPERIMENT_HH
@@ -106,7 +112,11 @@ struct ResilienceReport
     std::uint64_t runsRetried = 0;     ///< measurement runs re-executed
     std::uint64_t linkRetransmits = 0; ///< serial retries during campaign
     std::uint64_t pmbusRetries = 0;    ///< PMBus retries during campaign
-    std::uint64_t checkpointResumes = 0; ///< campaigns resumed mid-level
+    std::uint64_t checkpointResumes = 0; ///< slices continued from an
+                                         ///< earlier call
+
+    /** Add @a other field by field (slices and fleet jobs sum). */
+    ResilienceReport &operator+=(const ResilienceReport &other);
 };
 
 /**
@@ -137,7 +147,7 @@ struct SweepPoint
     /** Fault counts over the run population (whole device). */
     RunningStats runStats;
 
-    /** Raw per-run fault counts (checkpoint + median source). */
+    /** Raw per-run fault counts (median source). */
     std::vector<double> runCounts;
 
     /** Median fault count of the runs (what the paper reports). */
@@ -154,28 +164,6 @@ struct SweepPoint
 
     /** Share of observed flips that read "1" as "0" (zero-jitter run). */
     double oneToZeroFraction = 1.0;
-};
-
-/**
- * Resumable campaign state: everything needed to continue a sweep that
- * was interrupted mid-level — completed points plus the partial run
- * counts of the level in progress and the run-jitter stream cursor.
- * Serialize with harness/checkpoint.hh to survive process death.
- */
-struct SweepCheckpoint
-{
-    bool valid = false;      ///< holds resumable state
-    std::string platform;    ///< board the campaign ran on
-    PatternSpec pattern;     ///< campaign pattern (must match on resume)
-    double ambientC = 50.0;
-    int runsPerLevel = 0;
-    int stepMv = 10;
-    int fromMv = 0;          ///< resolved first level of the campaign
-    int downToMv = 0;        ///< resolved last level of the campaign
-    int currentLevelMv = 0;  ///< level in progress
-    std::uint64_t runsStarted = 0; ///< Board run-jitter stream cursor
-    std::vector<double> currentRunCounts; ///< finished runs at the level
-    std::vector<SweepPoint> completedPoints;
 };
 
 /** A full Listing-1 campaign. */
@@ -221,35 +209,24 @@ struct SweepOptions
 
     /**
      * Measure at most this many levels this call (0 = unlimited): a
-     * time-slicing budget. A truncated sweep leaves @a checkpoint valid
-     * so a later call finishes the campaign.
+     * time-slicing budget. A truncated sweep is finished by calling
+     * again on the same board with fromMv one step below its last
+     * point.
      */
     int maxLevels = 0;
-
-    /**
-     * Optional resumable state. If it holds a valid checkpoint for this
-     * board/pattern, the sweep resumes from it (completed levels are not
-     * re-measured and the interrupted level keeps its partial runs);
-     * either way it is kept current as the campaign progresses.
-     */
-    SweepCheckpoint *checkpoint = nullptr;
-
-    /** If nonempty, serialize the checkpoint here after every level. */
-    std::string checkpointPath;
 };
 
 /**
  * The paper's Listing 1: sweep VCCBRAM through the CRITICAL region and
  * measure fault statistics at every step. Leaves the board soft-reset.
  * Completes under injected harsh-environment faults with bit-identical
- * per-level statistics (retries, recovery, and checkpoint resume fully
- * mask every maskable fault class).
+ * per-level statistics (retries and crash recovery fully mask every
+ * maskable fault class).
  *
- * Recoverable-error variant: exhausted retry/recovery budgets and
- * mismatched checkpoints come back as Errors (recoveryExhausted,
- * linkExhausted, pmbusExhausted, badCheckpoint) instead of terminating
- * the process; the fleet engine retries such jobs from their last
- * checkpoint.
+ * Recoverable-error variant: exhausted retry/recovery budgets come back
+ * as Errors (recoveryExhausted, linkExhausted, pmbusExhausted) instead
+ * of terminating the process; the fleet engine re-runs such jobs on a
+ * fresh board.
  */
 Expected<SweepResult> tryRunCriticalSweep(pmbus::Board &board,
                                           const SweepOptions &options = {});

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <filesystem>
 
 #include <chrono>
 
 #include "fpga/floorplan.hh"
 #include "fpga/platform.hh"
-#include "harness/checkpoint.hh"
 #include "harness/fvm_io.hh"
 #include "harness/ledger.hh"
 #include "util/bench.hh"
@@ -31,8 +29,6 @@ struct FleetMetrics
         telemetry::Registry::global().counter("fleet.jobs");
     telemetry::Counter &jobRetries =
         telemetry::Registry::global().counter("fleet.job_retries");
-    telemetry::Counter &resumes =
-        telemetry::Registry::global().counter("fleet.resumes");
 };
 
 FleetMetrics &
@@ -398,11 +394,6 @@ FleetEngine::runJob(const FleetPlan &plan, const FleetJob &job) const
     const fpga::PlatformSpec &spec = fpga::findPlatform(job.platform);
     auto model = pmbus::sharedChipModel(spec);
 
-    std::string ckpt_path;
-    if (!options_.checkpointDir.empty())
-        ckpt_path = strFormat("{}/{}.ckpt", options_.checkpointDir,
-                              job.label());
-
     FleetJobOutcome outcome;
     outcome.job = job;
 
@@ -456,34 +447,12 @@ FleetEngine::runJob(const FleetPlan &plan, const FleetJob &job) const
         sweep_options.collectPerBram = plan.collectPerBram;
         sweep_options.recovery = plan.recovery;
 
-        SweepCheckpoint checkpoint;
-        if (!ckpt_path.empty()) {
-            sweep_options.checkpointPath = ckpt_path;
-            sweep_options.checkpoint = &checkpoint;
-            if (std::filesystem::exists(ckpt_path)) {
-                auto loaded = loadCheckpointFile(ckpt_path);
-                if (loaded.ok())
-                    checkpoint = loaded.take();
-                else
-                    warnc("fleet", "ignoring unusable checkpoint '{}': {}",
-                         ckpt_path, loaded.error().message);
-            }
-        }
-        const bool resuming = checkpoint.valid;
-        if (resuming)
-            fleetMetrics().resumes.increment();
-
         auto sweep = tryRunCriticalSweep(board, sweep_options);
         if (!sweep.ok()) {
             last = sweep.error();
             continue;
         }
         outcome.sweep = sweep.take();
-        outcome.resumed = outcome.resumed || resuming;
-        if (!ckpt_path.empty()) {
-            std::error_code ec;
-            std::filesystem::remove(ckpt_path, ec);
-        }
         return outcome;
     }
     return last;
@@ -575,8 +544,6 @@ recordManifest(const FleetOptions &options, const FleetPlan &plan,
     for (const auto &die : result.dies)
         manifest.dieRates.emplace_back(die.platform,
                                        die.faultsPerMbitAtVcrash);
-    if (!options.checkpointDir.empty())
-        manifest.artifacts.push_back(options.checkpointDir);
     if (options.fvmCache)
         manifest.artifacts.push_back(options.fvmCache->directory());
     manifest.blackboxPaths = flightrec::FlightRecorder::global().dumps();
@@ -606,16 +573,11 @@ FleetEngine::run(const FleetPlan &plan, ThreadPool &pool)
         return result;
 
     // Warm the per-die chip models serially so workers alias instead of
-    // racing on the synthesis lock, and create the checkpoint scratch
-    // space before anyone needs it.
+    // racing on the synthesis lock.
     for (const auto &job : plan.jobs) {
         if (mem::technologyOfName(job.platform) == mem::Technology::bram)
             (void)pmbus::sharedChipModel(
                 fpga::findPlatform(job.platform));
-    }
-    if (!options_.checkpointDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(options_.checkpointDir, ec);
     }
 
     // Every job writes its own pre-assigned slot; the pool's wait()
@@ -668,12 +630,7 @@ FleetEngine::run(const FleetPlan &plan, ThreadPool &pool)
         FleetJobOutcome outcome = slot->take();
         result.jobRetries +=
             static_cast<std::uint64_t>(outcome.attempts - 1);
-        const ResilienceReport &r = outcome.sweep.resilience;
-        result.resilience.crashRecoveries += r.crashRecoveries;
-        result.resilience.runsRetried += r.runsRetried;
-        result.resilience.linkRetransmits += r.linkRetransmits;
-        result.resilience.pmbusRetries += r.pmbusRetries;
-        result.resilience.checkpointResumes += r.checkpointResumes;
+        result.resilience += outcome.sweep.resilience;
         result.jobs.push_back(std::move(outcome));
     }
 

@@ -14,10 +14,10 @@
  * run regardless of worker count or completion order.
  *
  * The engine composes the resilience layer end to end: per-run crash
- * recovery inside each sweep (RecoveryPolicy watchdog), engine-level
- * retry of jobs whose retry budgets were exhausted, and per-job on-disk
- * checkpoints under a scratch directory so a killed fleet resumes with
- * completed levels intact.
+ * recovery inside each sweep (RecoveryPolicy watchdog) and engine-level
+ * retry of jobs whose retry budgets were exhausted, each attempt on a
+ * fresh board under a re-seeded environment. A killed fleet is run
+ * again: every result is a pure function of its seeds.
  *
  * The FvmCache implements the "characterize once, place many times"
  * flow the paper describes (the FVM is "extracted as a pre-process
@@ -61,7 +61,7 @@ struct FleetJob
     std::optional<pmbus::NoiseConfig> noise;
 
     /** Filesystem-safe identity, e.g. "VC707-p16_hFFFF-t50"; names the
-     *  job's checkpoint file and its slot in reports. */
+     *  job's slot in reports and seeds its backend jitter stream. */
     std::string label() const;
 };
 
@@ -96,8 +96,7 @@ struct FleetJobOutcome
     SweepResult sweep;
     std::optional<RegionResult> bramRegions; ///< when plan.discoverRegions
     std::optional<RegionResult> intRegions;  ///< when plan.discoverRegions
-    int attempts = 1;     ///< engine-level tries this job consumed
-    bool resumed = false; ///< continued from an on-disk checkpoint
+    int attempts = 1; ///< engine-level tries this job consumed
 };
 
 /**
@@ -258,16 +257,10 @@ class FvmCache
 struct FleetOptions
 {
     /**
-     * Scratch directory for per-job sweep checkpoints ("" = none). A
-     * fleet killed mid-run and re-run with the same directory resumes
-     * every interrupted job from its last completed level.
-     */
-    std::string checkpointDir;
-
-    /**
      * Engine-level attempts per job: a job whose recovery budget was
-     * exhausted (Errc::recoveryExhausted etc.) is re-run from its
-     * checkpoint this many times before the fleet reports the error.
+     * exhausted (Errc::recoveryExhausted etc.) is re-run from its first
+     * level, on a fresh board under a re-seeded environment, this many
+     * times before the fleet reports the error.
      */
     int maxAttemptsPerJob = 3;
 

@@ -50,8 +50,6 @@ runMemSweep(const MemoryDevice &device, const MemSweepOptions &options)
     const double mbit = traits.totalMbit();
     int emitted = 0;
     for (int mv = from; mv >= downTo; mv -= options.stepMv) {
-        if (options.resumeFromMv && mv >= *options.resumeFromMv)
-            continue; // already measured by an earlier slice
         if (options.maxLevels && emitted >= *options.maxLevels) {
             result.truncated = true;
             break;

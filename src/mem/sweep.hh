@@ -8,8 +8,9 @@
  * Determinism contract: the per-(level, run) jitter stream is STATELESS
  * — each draw seeds its own Rng from (sweep seed, rail mV, run index) —
  * so a point's result never depends on which points ran before it.
- * That makes sweeps bit-identical at any worker count, resumable from
- * any level, and sliceable by maxLevels without a checkpoint replay.
+ * That makes sweeps bit-identical at any worker count and sliceable:
+ * a sweep cut by maxLevels continues from fromMv = points.back() -
+ * stepMv and concatenates to the unsliced sweep.
  */
 
 #ifndef UVOLT_MEM_SWEEP_HH
@@ -40,10 +41,8 @@ struct MemSweepOptions
 
     bool collectPerDomain = false;
 
-    /** Slice: stop after this many levels (resume with resumeFromMv). */
+    /** Slice: stop after this many levels (continue with fromMv). */
     std::optional<int> maxLevels;
-    /** Resume: skip levels above this (exclusive upper bound). */
-    std::optional<int> resumeFromMv;
 };
 
 /** One voltage level of a device sweep. */
@@ -66,7 +65,7 @@ struct MemSweepResult
     double ambientC = 50.0;
     int runsPerLevel = 0;
     std::vector<MemSweepPoint> points; ///< descending railMv
-    bool truncated = false; ///< stopped by maxLevels, resume to continue
+    bool truncated = false; ///< stopped by maxLevels; more levels remain
 };
 
 /**

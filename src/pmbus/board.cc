@@ -232,7 +232,6 @@ void
 Board::startRun()
 {
     runJitterV_ = runRng_.gaussian(0.0, spec().calib.runJitterMv / 1000.0);
-    ++runsStarted_;
     if (injector_)
         injector_->nextTempDriftC();
     armCrashSchedule();
@@ -252,17 +251,6 @@ Board::resumeRun(double jitter_v)
     // A fresh crash schedule is drawn: the retried run faces fresh luck,
     // not a replay of the crash that interrupted it.
     armCrashSchedule();
-}
-
-void
-Board::fastForwardRuns(std::uint64_t runs)
-{
-    if (runsStarted_ > runs)
-        fatal("cannot fast-forward the run stream backwards: at run {}, "
-              "asked for {}",
-              runsStarted_, runs);
-    while (runsStarted_ < runs)
-        startRun();
 }
 
 bool

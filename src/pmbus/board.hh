@@ -163,16 +163,6 @@ class Board
      */
     void resumeRun(double jitter_v);
 
-    /** startRun() calls made so far (the run-jitter stream cursor). */
-    std::uint64_t runsStarted() const { return runsStarted_; }
-
-    /**
-     * Replay @a runs startRun() draws without measuring: positions the
-     * run-jitter stream for a checkpoint resume so the continued
-     * campaign equals the uninterrupted one bit for bit.
-     */
-    void fastForwardRuns(std::uint64_t runs);
-
     /**
      * Self-check of the programmed design's internal logic (substitute
      * for observing computation errors when VCCINT is underscaled):
@@ -270,7 +260,6 @@ class Board
     int maxPmbusAttempts_ = 8;
     double ambientC_ = vmodel::referenceTempC;
     double runJitterV_ = 0.0;
-    std::uint64_t runsStarted_ = 0;
     mutable bool forcedCrash_ = false;
     mutable int crashCountdown_ = -1; ///< ops until injected crash; -1 off
     // Device-count memo: valid while no BRAM content changed (epoch) and

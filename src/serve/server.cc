@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
+#include <iterator>
 
 #include "fpga/floorplan.hh"
 #include "fpga/platform.hh"
-#include "harness/checkpoint.hh"
 #include "harness/fvm.hh"
 #include "harness/ledger.hh"
 #include "mem/catalog.hh"
@@ -66,8 +65,6 @@ struct ServeMetrics
         telemetry::Registry::global().counter("serve.cancelled");
     telemetry::Counter &coalescedBlocks = telemetry::Registry::global()
         .counter("serve.coalesced_blocks");
-    telemetry::Counter &resumes =
-        telemetry::Registry::global().counter("serve.resumes");
     telemetry::Gauge &queueDepth =
         telemetry::Registry::global().gauge("serve.queue_depth");
     telemetry::Histogram &queueWaitMs =
@@ -101,7 +98,6 @@ transientErrc(Errc code)
       case Errc::pmbusExhausted:
       case Errc::verifyExhausted:
       case Errc::recoveryExhausted:
-      case Errc::badCheckpoint:
         return true;
       default:
         return false;
@@ -350,7 +346,14 @@ Expected<std::future<Expected<ClassifyResponse>>>
 UvoltServer::submitClassify(ClassifyRequest request)
 {
     if (request.sampleCount == 0 ||
-        request.samples.size() % request.sampleCount != 0) {
+        request.sampleCount > maxSamplesPerRequest) {
+        return refuseInvalid(makeError(Errc::invalidRequest,
+                                       "classify: sampleCount must lie "
+                                       "in [1, {}], got {}",
+                                       maxSamplesPerRequest,
+                                       request.sampleCount));
+    }
+    if (request.samples.size() % request.sampleCount != 0) {
         return refuseInvalid(makeError(Errc::invalidRequest,
                                        "classify: {} sample values do "
                                        "not divide into {} samples",
@@ -393,8 +396,8 @@ UvoltServer::stop(StopMode mode)
     else
         stopNow_.store(true, std::memory_order_relaxed);
     // Workers drain what is left: with stopNow_ set, every remaining
-    // item is answered serverStopped (checkpoints stay on disk for the
-    // next server); in drain mode the queue is already empty.
+    // item is answered serverStopped; in drain mode the queue is
+    // already empty.
     queue_.close();
     for (auto &worker : workers_)
         worker.join();
@@ -600,6 +603,21 @@ UvoltServer::respondExpired(Pending &item)
 }
 
 void
+UvoltServer::respondFailed(Pending &item, Error error)
+{
+    {
+        std::unique_lock lock(statsMutex_);
+        ++stats_.failed;
+    }
+    serveMetrics().failed.increment();
+    noteCompleted(item, false, error.code);
+    std::visit(
+        [&](auto &work) { work.promise.set_value(std::move(error)); },
+        item.work);
+    settled();
+}
+
+void
 UvoltServer::respondStopped(Pending &item)
 {
     auto error = makeError(Errc::serverStopped,
@@ -684,7 +702,7 @@ UvoltServer::process(Pending item)
             {{"id", std::to_string(item.id)}});
     }
     // Everything this worker does for the request — sweep slices,
-    // retries, checkpoint writes — parents under the request context.
+    // retries — parents under the request context.
     telemetry::ContextScope trace_scope(item.trace);
     if (stopRequested()) {
         respondStopped(item);
@@ -735,25 +753,72 @@ UvoltServer::process(Pending item)
 }
 
 Expected<CharacterizeResponse>
-UvoltServer::characterizeMemOnce(const CharacterizeRequest &request,
-                                 std::uint64_t request_seed,
-                                 Clock::time_point deadline)
+UvoltServer::characterizeOnce(const CharacterizeRequest &request,
+                              std::uint64_t request_seed, int attempt,
+                              Clock::time_point deadline)
 {
-    auto device = mem::makeDevice(request.platform);
-    harness::fillMemPattern(*device, request.pattern);
+    const int step_mv = pmbus::voutStepMv;
 
-    mem::MemSweepOptions options;
-    options.runsPerLevel = request.runsPerLevel;
-    options.ambientC = request.ambientC;
-    options.collectPerDomain = true;
-    options.seed = request_seed;
+    // One slice measures at most sliceLevels levels, starting at
+    // from_mv (0 = the device's first level), on one live device: the
+    // BRAM board's run-jitter stream and injector carry over from slice
+    // to slice, and the HBM/SRAM jitter is stateless, so the slices
+    // concatenate to the unsliced sweep bit for bit.
+    std::function<Expected<harness::SweepResult>(int)> run_slice;
+    std::optional<pmbus::Board> board;
+    std::unique_ptr<mem::MemoryDevice> device;
+    if (mem::technologyOfName(request.platform) == mem::Technology::bram) {
+        const fpga::PlatformSpec &spec =
+            fpga::findPlatform(request.platform);
+        board.emplace(spec, pmbus::sharedChipModel(spec));
+        board->setAmbientC(request.ambientC);
+        if (config_.noise) {
+            // Idempotent by construction: the injector stream is a pure
+            // function of the request's own content digest, re-seeded
+            // per attempt exactly as the fleet engine does, so a retry
+            // (or a resubmission after restart) faces a reproducible
+            // environment.
+            pmbus::NoiseConfig noise = *config_.noise;
+            noise.seed = request_seed +
+                         static_cast<std::uint64_t>(attempt - 1) *
+                             1000003ull;
+            board->attachNoise(noise);
+        }
+        run_slice = [&](int from_mv) {
+            harness::SweepOptions slice;
+            slice.pattern = request.pattern;
+            slice.runsPerLevel = request.runsPerLevel;
+            slice.stepMv = step_mv;
+            slice.fromMv = from_mv;
+            slice.collectPerBram = true;
+            slice.recovery = config_.recovery;
+            slice.maxLevels = config_.sliceLevels;
+            return harness::tryRunCriticalSweep(*board, slice);
+        };
+    } else {
+        device = mem::makeDevice(request.platform);
+        harness::fillMemPattern(*device, request.pattern);
+        run_slice = [&](int from_mv) -> Expected<harness::SweepResult> {
+            mem::MemSweepOptions slice;
+            slice.runsPerLevel = request.runsPerLevel;
+            slice.stepMv = step_mv;
+            slice.ambientC = request.ambientC;
+            slice.collectPerDomain = true;
+            slice.seed = request_seed;
+            if (from_mv > 0)
+                slice.fromMv = from_mv;
+            slice.maxLevels = config_.sliceLevels;
+            return harness::sweepFromMem(mem::runMemSweep(*device, slice),
+                                         request.pattern);
+        };
+    }
 
-    // Same slice-boundary cancellation points as the BRAM path, but no
-    // checkpoint file: the stateless per-(level, run) jitter stream
-    // means a re-run re-measures skipped levels bit-identically.
-    mem::MemSweepResult merged;
-    std::optional<int> resume;
-    for (;;) {
+    // The slice boundaries are the cooperative cancellation points for
+    // deadlines and stop. A cancelled request is re-measured from its
+    // first level when it is sent again.
+    CharacterizeResponse response;
+    harness::SweepResult &merged = response.sweep;
+    for (int from_mv = 0;;) {
         if (stopRequested()) {
             return makeError(Errc::serverStopped,
                              "characterize cancelled at slice boundary");
@@ -763,113 +828,24 @@ UvoltServer::characterizeMemOnce(const CharacterizeRequest &request,
                              "characterize deadline passed at slice "
                              "boundary");
         }
-        mem::MemSweepOptions slice = options;
-        if (config_.sliceLevels > 0)
-            slice.maxLevels = config_.sliceLevels;
-        slice.resumeFromMv = resume;
-        mem::MemSweepResult part = mem::runMemSweep(*device, slice);
-        if (merged.points.empty()) {
-            merged = part;
+        auto part = run_slice(from_mv);
+        if (!part.ok())
+            return part.error();
+        harness::SweepResult slice = part.take();
+        if (from_mv == 0) {
+            merged = std::move(slice);
         } else {
-            merged.points.insert(merged.points.end(),
-                                 part.points.begin(),
-                                 part.points.end());
-            merged.truncated = part.truncated;
+            ++merged.resilience.checkpointResumes;
+            merged.resilience += slice.resilience;
+            merged.points.insert(
+                merged.points.end(),
+                std::make_move_iterator(slice.points.begin()),
+                std::make_move_iterator(slice.points.end()));
+            merged.truncated = slice.truncated;
         }
         if (!merged.truncated)
-            break;
-        resume = merged.points.back().railMv;
-    }
-
-    CharacterizeResponse response;
-    response.sweep = harness::sweepFromMem(merged, request.pattern);
-    return response;
-}
-
-Expected<CharacterizeResponse>
-UvoltServer::characterizeOnce(const CharacterizeRequest &request,
-                              std::uint64_t request_seed, int attempt,
-                              Clock::time_point deadline, bool &resumed)
-{
-    if (mem::technologyOfName(request.platform) != mem::Technology::bram)
-        return characterizeMemOnce(request, request_seed, deadline);
-    const fpga::PlatformSpec &spec = fpga::findPlatform(request.platform);
-    auto model = pmbus::sharedChipModel(spec);
-    pmbus::Board board(spec, model);
-    board.setAmbientC(request.ambientC);
-    if (config_.noise) {
-        // Idempotent by construction: the injector stream is a pure
-        // function of the request's own content digest, re-seeded per
-        // attempt exactly as the fleet engine does, so a retry (or a
-        // resubmission after restart) faces a reproducible environment.
-        pmbus::NoiseConfig noise = *config_.noise;
-        noise.seed = request_seed +
-                     static_cast<std::uint64_t>(attempt - 1) * 1000003ull;
-        board.attachNoise(noise);
-    }
-
-    harness::SweepOptions options;
-    options.pattern = request.pattern;
-    options.runsPerLevel = request.runsPerLevel;
-    options.collectPerBram = true;
-    options.recovery = config_.recovery;
-
-    // The in-memory checkpoint is what carries progress from one slice
-    // to the next; it is always wired. The on-disk serialization (and
-    // with it resume-after-restart) is what checkpointDir adds.
-    harness::SweepCheckpoint checkpoint;
-    options.checkpoint = &checkpoint;
-    std::string ckpt_path;
-    if (!config_.checkpointDir.empty()) {
-        const harness::FleetJob shape{request.platform, request.pattern,
-                                      request.ambientC, std::nullopt};
-        ckpt_path = strFormat("{}/{}-r{}.ckpt", config_.checkpointDir,
-                              shape.label(), request.runsPerLevel);
-        options.checkpointPath = ckpt_path;
-        if (std::filesystem::exists(ckpt_path)) {
-            auto loaded = harness::loadCheckpointFile(ckpt_path);
-            if (loaded.ok())
-                checkpoint = loaded.take();
-            else
-                warnc("serve", "ignoring unusable checkpoint '{}': {}",
-                     ckpt_path, loaded.error().message);
-        }
-    }
-    if (checkpoint.valid) {
-        resumed = true;
-        serveMetrics().resumes.increment();
-    }
-
-    // Time-sliced execution: at most sliceLevels voltage levels per
-    // tryRunCriticalSweep call, with the checkpoint flushed after every
-    // level — the cooperative cancellation points for deadlines and
-    // stop. A cancelled campaign leaves its checkpoint on disk, so the
-    // same request shape resumes bit-identically later.
-    for (;;) {
-        if (stopRequested()) {
-            return makeError(Errc::serverStopped,
-                             "characterize cancelled at slice boundary "
-                             "(checkpoint flushed)");
-        }
-        if (Clock::now() > deadline) {
-            return makeError(Errc::deadlineExceeded,
-                             "characterize deadline passed at slice "
-                             "boundary (checkpoint flushed)");
-        }
-        harness::SweepOptions slice = options;
-        slice.maxLevels = config_.sliceLevels;
-        auto result = harness::tryRunCriticalSweep(board, slice);
-        if (!result.ok())
-            return result.error();
-        if (!result.value().truncated) {
-            CharacterizeResponse response;
-            response.sweep = result.take();
-            if (!ckpt_path.empty()) {
-                std::error_code ec;
-                std::filesystem::remove(ckpt_path, ec);
-            }
             return response;
-        }
+        from_mv = merged.points.back().vccBramMv - step_mv;
     }
 }
 
@@ -882,21 +858,6 @@ UvoltServer::finishCharacterize(Pending &item)
         config_.seed,
         hashSeed(harness::configDigest(canonicalCharacterize(request))));
 
-    // Serialize identical request shapes: they share a checkpoint file
-    // (that is what makes restart resume work), so two tenants asking
-    // for the same die+shape take turns instead of racing the file.
-    std::shared_ptr<std::mutex> label_lock;
-    {
-        const std::string canonical = canonicalCharacterize(request);
-        std::unique_lock lock(labelsMutex_);
-        auto &slot = labelLocks_[canonical];
-        if (!slot)
-            slot = std::make_shared<std::mutex>();
-        label_lock = slot;
-    }
-    std::unique_lock serialized(*label_lock);
-
-    bool resumed = false;
     Error last = makeError(Errc::recoveryExhausted,
                            "characterize {} never ran", item.id);
     for (int attempt = 1; attempt <= config_.maxAttempts; ++attempt) {
@@ -910,11 +871,10 @@ UvoltServer::finishCharacterize(Pending &item)
                 {"attempt", std::to_string(attempt)}};
         });
         auto result = characterizeOnce(request, request_seed, attempt,
-                                       item.deadline, resumed);
+                                       item.deadline);
         if (result.ok()) {
             CharacterizeResponse response = result.take();
             response.attempts = attempt;
-            response.resumed = resumed;
 
             if (config_.fvmCache) {
                 // Backend-generic publication: the traits carry the
@@ -988,14 +948,7 @@ UvoltServer::finishCharacterize(Pending &item)
 
     observeFaultPressure(
         static_cast<double>(config_.maxAttempts));
-    {
-        std::unique_lock lock(statsMutex_);
-        ++stats_.failed;
-    }
-    serveMetrics().failed.increment();
-    noteCompleted(item, false, last.code);
-    work.promise.set_value(std::move(last));
-    settled();
+    respondFailed(item, std::move(last));
 }
 
 Expected<std::shared_ptr<const nn::Network>>
@@ -1066,25 +1019,31 @@ UvoltServer::finishClassifyGroup(std::vector<Pending> items)
                     model_attempts);
     if (!model.ok()) {
         for (auto &member : members) {
-            if (model.error().code == Errc::serverStopped) {
+            if (model.error().code == Errc::serverStopped)
                 respondStopped(member.item);
-            } else {
-                Error error = model.error();
-                {
-                    std::unique_lock lock(statsMutex_);
-                    ++stats_.failed;
-                }
-                serveMetrics().failed.increment();
-                noteCompleted(member.item, false, error.code);
-                std::get<ClassifyWork>(member.item.work)
-                    .promise.set_value(std::move(error));
-                settled();
-            }
+            else
+                respondFailed(member.item, model.error());
         }
         observeFaultPressure(static_cast<double>(model_attempts));
         return;
     }
     const std::shared_ptr<const nn::Network> &net = model.value();
+
+    // Admission cannot know the model's input width. A member whose
+    // rows do not match it is answered invalidRequest here; the rest of
+    // the group gets the answers it would have got without it.
+    const auto inputs = static_cast<std::size_t>(net->layerSizes().front());
+    for (auto &member : members) {
+        if (member.features == inputs)
+            continue;
+        respondFailed(member.item,
+                      refuseInvalid(makeError(
+                          Errc::invalidRequest,
+                          "classify: samples have {} features, the "
+                          "model at {} mV takes {}",
+                          member.features, effective_setpoint, inputs)));
+        member.finished = true;
+    }
 
     const std::size_t width = static_cast<std::size_t>(
         config_.coalesceBatch > 0 ? config_.coalesceBatch

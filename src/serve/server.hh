@@ -14,9 +14,10 @@
  *    with Errc::queueFull immediately — callers are never blocked
  *    unboundedly behind a characterization campaign.
  *  - Deadlines. Per-request deadlines are checked cooperatively at
- *    sweep-level granularity (characterize runs as maxLevels=1 slices)
- *    and at batch-block granularity (classify blocks), so an expired
- *    request stops consuming the board promptly.
+ *    sweep-level granularity (characterize runs as maxLevels=1 slices,
+ *    each continuing the last on the same live board or device) and at
+ *    batch-block granularity (classify blocks), so an expired request
+ *    stops consuming the board promptly.
  *  - Retries. Transient fault classes (crash-detected, link/PMBus/
  *    verify/recovery exhausted) are retried with exponential backoff
  *    plus seeded jitter. Requests are idempotent by construction:
@@ -32,10 +33,10 @@
  *    sheds low-priority work and raises the operating setpoint toward
  *    the safe region under sustained fault pressure, then ramps back
  *    down when healthy — see serve/health.hh.
- *  - Lifecycle. start (construction) / drain / stop. Checkpoints are
- *    flushed after every sweep slice, so an in-flight characterize
- *    cancelled by stop() resumes bit-identically when the same request
- *    shape is resubmitted to a later server (PR 1 checkpoints).
+ *  - Lifecycle. start (construction) / drain / stop. An in-flight
+ *    characterize cancelled by stop() ends at its next slice boundary;
+ *    resubmitted to a later server, the same request shape measures
+ *    again from its first level and answers the same bits.
  *  - Telemetry. serve.* counters (admitted/rejected/deadline_exceeded/
  *    retried/degraded/completed/failed), a queue-depth gauge,
  *    queue-wait and end-to-end latency histograms, and a trace span
@@ -50,7 +51,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -86,6 +86,14 @@ enum class Priority
  */
 inline constexpr int maxRunsPerLevel = 10000;
 
+/**
+ * Admission's cap on ClassifyRequest::sampleCount: far above the few
+ * dozen samples a tenant sends per request. The server sizes per-request
+ * answer buffers from the count, so an absurd count is refused up
+ * front.
+ */
+inline constexpr std::size_t maxSamplesPerRequest = 65536;
+
 /** Run a Listing-1 characterization campaign for a tenant. */
 struct CharacterizeRequest
 {
@@ -99,9 +107,8 @@ struct CharacterizeRequest
 
 struct CharacterizeResponse
 {
-    harness::SweepResult sweep;
-    int attempts = 1;     ///< serve-level tries consumed
-    bool resumed = false; ///< continued from an on-disk checkpoint
+    harness::SweepResult sweep; ///< resilience sums every slice
+    int attempts = 1;           ///< serve-level tries consumed
 };
 
 /** Classify a batch of samples at an operating point. */
@@ -147,9 +154,6 @@ struct ServerConfig
     int coalesceBatch = 0; ///< classify block width; 0 = defaultEvalBatch
     int sliceLevels = 1;   ///< sweep levels between deadline checks
 
-    /** Characterize checkpoints + resume-after-restart ("" = off). */
-    std::string checkpointDir;
-
     /** Cross-tenant FVM cache; successful characterizations publish
      *  into it (nullptr = no publication). */
     harness::FvmCache *fvmCache = nullptr;
@@ -186,7 +190,8 @@ struct ServerStats
     std::uint64_t admitted = 0;  ///< accepted into the queue
     std::uint64_t rejected = 0;  ///< refused: queue full
     std::uint64_t shed = 0;      ///< refused: degraded, low priority
-    std::uint64_t invalid = 0;   ///< refused: malformed request
+    std::uint64_t invalid = 0;   ///< malformed: refused at admission,
+                                 ///< or failed once its model is known
     std::uint64_t completed = 0; ///< responded with a value
     std::uint64_t failed = 0;    ///< responded with an Error
     std::uint64_t deadlineExceeded = 0; ///< subset of failed
@@ -272,8 +277,10 @@ class UvoltServer
 
     /**
      * Admit a classification batch; same admission contract, with
-     * invalidRequest when the sample values do not divide into
-     * sampleCount samples.
+     * invalidRequest when sampleCount lies outside
+     * [1, maxSamplesPerRequest] or the sample values do not divide into
+     * sampleCount samples. Rows whose width differs from the serving
+     * model's inputs resolve the future with invalidRequest.
      */
     Expected<std::future<Expected<ClassifyResponse>>>
     submitClassify(ClassifyRequest request);
@@ -288,8 +295,8 @@ class UvoltServer
     /**
      * Shut down. drain mode finishes the backlog first; now mode
      * cancels cooperatively — in-flight characterizes stop at the next
-     * slice boundary with their checkpoint flushed (Errc::serverStopped)
-     * and queued requests fail serverStopped. Idempotent.
+     * slice boundary (Errc::serverStopped) and queued requests fail
+     * serverStopped. Idempotent.
      */
     void stop(StopMode mode = StopMode::drain);
 
@@ -361,21 +368,16 @@ class UvoltServer
     void finishCharacterize(Pending &item);
     void finishClassifyGroup(std::vector<Pending> items);
 
+    /**
+     * One attempt: a time-sliced sweep of a fresh board (BRAM) or
+     * device (HBM/SRAM), stop and deadline checked between slices.
+     * Admission keeps HBM/SRAM requests off a noisy server: the
+     * injector drives a pmbus::Board, which only BRAM has.
+     */
     Expected<CharacterizeResponse>
     characterizeOnce(const CharacterizeRequest &request,
                      std::uint64_t request_seed, int attempt,
-                     Clock::time_point deadline, bool &resumed);
-
-    /**
-     * Non-BRAM devices: time-sliced backend sweep. The stateless mem
-     * jitter stream makes slices resumable without checkpoint files.
-     * Admission keeps these requests off a noisy server: the injector
-     * drives a pmbus::Board, which only the BRAM path has.
-     */
-    Expected<CharacterizeResponse>
-    characterizeMemOnce(const CharacterizeRequest &request,
-                        std::uint64_t request_seed,
-                        Clock::time_point deadline);
+                     Clock::time_point deadline);
 
     Expected<std::shared_ptr<const nn::Network>>
     obtainModel(int setpoint_mv, std::uint64_t request_seed,
@@ -392,6 +394,8 @@ class UvoltServer
         return stopNow_.load(std::memory_order_relaxed);
     }
 
+    /** Answer @a item with @a error and count it failed. */
+    void respondFailed(Pending &item, Error error);
     void respondExpired(Pending &item);
     void respondStopped(Pending &item);
     void noteCompleted(const Pending &item, bool ok, Errc code);
@@ -420,10 +424,6 @@ class UvoltServer
 
     /** Consecutive deadline expiries since the last completion. */
     std::atomic<int> deadlineStreak_{0};
-
-    /** Serializes identical characterize shapes (checkpoint owners). */
-    std::mutex labelsMutex_;
-    std::map<std::string, std::shared_ptr<std::mutex>> labelLocks_;
 
     mutable std::mutex statsMutex_;
     ServerStats stats_;

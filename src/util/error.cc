@@ -19,8 +19,6 @@ errcName(Errc code)
         return "verify-exhausted";
       case Errc::recoveryExhausted:
         return "recovery-exhausted";
-      case Errc::badCheckpoint:
-        return "bad-checkpoint";
       case Errc::cacheMiss:
         return "cache-miss";
       case Errc::corruptCache:

@@ -6,8 +6,8 @@
  * repeats unreliable transactions; in a harsh environment those are
  * ordinary events, not program bugs. fatal()/panic() stay reserved for
  * caller errors and broken invariants; everything a retry, a soft reset,
- * or a checkpoint resume can absorb travels as an Expected<T> carrying an
- * Errc, so campaign engines can decide policy instead of dying.
+ * or a re-run can absorb travels as an Expected<T> carrying an Errc, so
+ * campaign engines can decide policy instead of dying.
  */
 
 #ifndef UVOLT_UTIL_ERROR_HH
@@ -31,7 +31,6 @@ enum class Errc
     pmbusExhausted,    ///< PMBus transaction retries exhausted
     verifyExhausted,   ///< setpoint verify-after-write never converged
     recoveryExhausted, ///< watchdog gave up recovering a campaign
-    badCheckpoint,     ///< checkpoint failed to parse or mismatches
     cacheMiss,         ///< no cached artifact for the requested key
     corruptCache,      ///< cache file present but unusable (malformed
                        ///< or for a different chip/geometry)

@@ -3,11 +3,10 @@
  * Crash-atomic file writes.
  *
  * Several artifacts in this repo are load-bearing across process
- * restarts: sweep checkpoints (resume after host death), ledger
- * manifests (run provenance), cached FVMs (characterize once). A crash
- * mid-write — including the spurious-crash class the fault injector
- * models — must never leave a truncated file that poisons the next
- * process's resume path. The fix is the classic one: write the full
+ * restarts: ledger manifests (run provenance) and cached FVMs
+ * (characterize once). A crash mid-write — including the spurious-crash
+ * class the fault injector models — must never leave a truncated file
+ * that poisons the next process's read. The fix is the classic one: write the full
  * content to "<path>.tmp" in the same directory, flush, then rename
  * over the destination. rename(2) within a filesystem is atomic, so
  * readers observe either the old file or the new one, never a prefix.

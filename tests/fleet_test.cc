@@ -2,25 +2,23 @@
  * @file
  * Tests for the parallel fleet-campaign engine and the Campaign facade:
  * the ThreadPool, bit-identity of parallel and serial fleets, the
- * single-flight FvmCache, engine-level checkpoint resume, and the
- * builder's equivalence to hand-wired sweeps.
+ * single-flight FvmCache, engine-level job retry, and the builder's
+ * equivalence to hand-wired sweeps.
  *
  * The central invariant under test: a fleet's results are a pure
- * function of its plan — worker count, completion order, harsh
- * environments, and mid-run kills never show in the output.
+ * function of its plan — worker count, completion order and harsh
+ * environments never show in the output.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <fstream>
 #include <thread>
 #include <vector>
 
 #include "harness/campaign.hh"
-#include "harness/checkpoint.hh"
 #include "harness/fleet.hh"
 #include "harness/fvm_io.hh"
 #include "pmbus/board.hh"
@@ -310,49 +308,6 @@ TEST(FleetErrors, BramOnlyOptionsOnAnHbmJobAreATypedError)
         Campaign::onDevices({"HBM2-A"}).sweep(3).ledgerUnder("").run(pool);
     ASSERT_TRUE(quiet.ok()) << quiet.error().message;
     EXPECT_FALSE(quiet.value().jobs.front().sweep.points.empty());
-}
-
-TEST(FleetCheckpoint, ResumesAfterKillAndMatchesFreshRun)
-{
-    const std::string dir = scratchDir("uvolt-fleet-ckpt");
-
-    FleetPlan plan = FleetPlan::crossProduct(
-        {"ZC702"}, {PatternSpec::allOnes()}, {50.0});
-    plan.runsPerLevel = 5;
-
-    FleetEngine fresh_engine;
-    auto fresh = fresh_engine.run(plan);
-    ASSERT_TRUE(fresh.ok());
-
-    // "Kill" a fleet mid-job: run the job's sweep with a level budget,
-    // leaving a resumable checkpoint at exactly the engine's path.
-    const std::string ckpt_path =
-        dir + "/" + plan.jobs.front().label() + ".ckpt";
-    {
-        Board board(fpga::findPlatform("ZC702"));
-        SweepCheckpoint checkpoint;
-        SweepOptions options;
-        options.runsPerLevel = plan.runsPerLevel;
-        options.maxLevels = 2;
-        options.checkpoint = &checkpoint;
-        options.checkpointPath = ckpt_path;
-        auto partial = tryRunCriticalSweep(board, options);
-        ASSERT_TRUE(partial.ok());
-        EXPECT_TRUE(partial.value().truncated);
-    }
-    ASSERT_TRUE(std::filesystem::exists(ckpt_path));
-
-    FleetOptions options;
-    options.checkpointDir = dir;
-    FleetEngine engine(options);
-    auto resumed = engine.run(plan);
-    ASSERT_TRUE(resumed.ok());
-
-    EXPECT_TRUE(resumed.value().jobs.front().resumed);
-    EXPECT_GE(resumed.value().resilience.checkpointResumes, 1u);
-    expectSameFleet(fresh.value(), resumed.value());
-    // The finished job cleans up its scratch checkpoint.
-    EXPECT_FALSE(std::filesystem::exists(ckpt_path));
 }
 
 TEST(CampaignFacade, MatchesHandWiredSweep)

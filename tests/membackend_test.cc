@@ -5,7 +5,7 @@
  * epoch/memo isolation contract of copies and clones, the device-wide
  * fault index against the scalar reference walkers, the per-backend
  * fault laws (HBM whole-lane granularity, MoRS spatial clustering), the
- * backend-generic sweep with slicing/resume, and the heterogeneous
+ * backend-generic sweep with slicing, and the heterogeneous
  * fleet path through Campaign/FleetEngine — bit-identical at any
  * worker count, with technology-tagged cache keys and manifests.
  */
@@ -593,7 +593,7 @@ TEST(BackendBoundary, ThresholdEqualToProbeVoltageIsHealthy)
 }
 
 // ---------------------------------------------------------------------
-// Backend-generic sweep: envelope, slicing, resume
+// Backend-generic sweep: envelope and slicing
 // ---------------------------------------------------------------------
 
 TEST(MemSweepTest, CoversVminToVcrashAndEndsFaulty)
@@ -621,34 +621,42 @@ TEST(MemSweepTest, CoversVminToVcrashAndEndsFaulty)
 
 TEST(MemSweepTest, SlicedSweepIsBitIdenticalToTheStraightRun)
 {
-    auto device = makeDevice("MORS-SRAM-A");
-    device->fill(0xFFFF);
-    MemSweepOptions options;
-    options.runsPerLevel = 7;
-    options.seed = 7;
-    options.collectPerDomain = true;
-    const MemSweepResult whole = runMemSweep(*device, options);
+    for (const char *name : {"HBM2-A", "MORS-SRAM-A"}) {
+        auto device = makeDevice(name);
+        device->fill(0xFFFF);
+        MemSweepOptions options;
+        options.runsPerLevel = 7;
+        options.seed = 7;
+        options.collectPerDomain = true;
+        const MemSweepResult whole = runMemSweep(*device, options);
 
-    std::vector<MemSweepPoint> sliced;
-    std::optional<int> resume;
-    for (;;) {
+        // Each slice continues one step below the last measured level.
+        std::vector<MemSweepPoint> sliced;
         MemSweepOptions slice = options;
         slice.maxLevels = 3;
-        slice.resumeFromMv = resume;
-        const MemSweepResult part = runMemSweep(*device, slice);
-        sliced.insert(sliced.end(), part.points.begin(),
-                      part.points.end());
-        if (!part.truncated)
-            break;
-        resume = sliced.back().railMv;
-    }
-    ASSERT_EQ(sliced.size(), whole.points.size());
-    for (std::size_t i = 0; i < sliced.size(); ++i) {
-        EXPECT_EQ(sliced[i].railMv, whole.points[i].railMv);
-        EXPECT_EQ(sliced[i].runCounts, whole.points[i].runCounts);
-        EXPECT_EQ(sliced[i].medianFaults, whole.points[i].medianFaults);
-        EXPECT_EQ(sliced[i].perDomainFaults,
-                  whole.points[i].perDomainFaults);
+        for (;;) {
+            const MemSweepResult part = runMemSweep(*device, slice);
+            EXPECT_LE(part.points.size(), 3u) << name;
+            sliced.insert(sliced.end(), part.points.begin(),
+                          part.points.end());
+            if (!part.truncated)
+                break;
+            slice.fromMv = sliced.back().railMv - slice.stepMv;
+        }
+        ASSERT_EQ(sliced.size(), whole.points.size()) << name;
+        for (std::size_t i = 0; i < sliced.size(); ++i) {
+            EXPECT_EQ(sliced[i].railMv, whole.points[i].railMv) << name;
+            EXPECT_EQ(sliced[i].runCounts, whole.points[i].runCounts)
+                << name;
+            EXPECT_EQ(sliced[i].medianFaults,
+                      whole.points[i].medianFaults)
+                << name;
+            EXPECT_EQ(sliced[i].perDomainFaults,
+                      whole.points[i].perDomainFaults)
+                << name;
+            EXPECT_EQ(sliced[i].railPowerW, whole.points[i].railPowerW)
+                << name;
+        }
     }
 }
 

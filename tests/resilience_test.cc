@@ -2,7 +2,7 @@
  * @file
  * Tests for the harsh-environment resilience layer: the error taxonomy,
  * CRC-verified retransmission, PMBus verify-after-write, spurious-crash
- * recovery in the campaign engine, serialized checkpoint resume, and
+ * recovery in the campaign engine, sweep slicing on a live board, and
  * the hardened voltage governor.
  *
  * The central invariant under test: every maskable injected fault class
@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
-#include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "harness/fleet.hh"
 #include "harness/fvm.hh"
@@ -56,7 +58,7 @@ TEST(ErrorTaxonomy, VoidExpectedAndNames)
 {
     Expected<void> good;
     EXPECT_TRUE(good.ok());
-    Expected<void> bad(makeError(Errc::badCheckpoint, "nope"));
+    Expected<void> bad(makeError(Errc::corruptCache, "nope"));
     EXPECT_FALSE(bad.ok());
     EXPECT_STREQ(errcName(Errc::crashDetected), "crash-detected");
     EXPECT_STREQ(errcName(Errc::pmbusExhausted), "pmbus-exhausted");
@@ -279,124 +281,97 @@ TEST(ResilientSweep, DiscoverRegionsSurvivesNoise)
     EXPECT_EQ(quiet.vcrashMv, noisy.vcrashMv);
 }
 
-TEST(Checkpoint, StreamRoundTrip)
+/** One slicing case: a board, quiet or harsh, and a level budget. */
+struct SliceCase
 {
-    Board board(fpga::findPlatform("ZC702"));
-    SweepCheckpoint checkpoint;
-    SweepOptions options = fastSweepOptions();
-    options.maxLevels = 2;
-    options.checkpoint = &checkpoint;
-    const SweepResult partial = runCriticalSweep(board, options);
-    EXPECT_TRUE(partial.truncated);
-    ASSERT_TRUE(checkpoint.valid);
+    const char *platform;
+    bool noisy;
+    int maxLevels;
+};
 
-    std::stringstream stream;
-    saveCheckpoint(checkpoint, stream);
-    auto loaded = loadCheckpoint(stream);
-    ASSERT_TRUE(loaded.ok());
-    const SweepCheckpoint &restored = loaded.value();
-    EXPECT_EQ(restored.platform, checkpoint.platform);
-    EXPECT_EQ(restored.currentLevelMv, checkpoint.currentLevelMv);
-    EXPECT_EQ(restored.runsStarted, checkpoint.runsStarted);
-    EXPECT_EQ(restored.currentRunCounts, checkpoint.currentRunCounts);
-    ASSERT_EQ(restored.completedPoints.size(),
-              checkpoint.completedPoints.size());
-    for (std::size_t i = 0; i < restored.completedPoints.size(); ++i) {
-        EXPECT_EQ(restored.completedPoints[i].runCounts,
-                  checkpoint.completedPoints[i].runCounts);
-        EXPECT_EQ(restored.completedPoints[i].perBramFaults,
-                  checkpoint.completedPoints[i].perBramFaults);
+void
+PrintTo(const SliceCase &c, std::ostream *out)
+{
+    *out << c.platform << (c.noisy ? " harsh " : " quiet ") << c.maxLevels;
+}
+
+std::vector<SliceCase>
+sliceCases()
+{
+    std::vector<SliceCase> cases;
+    for (const char *platform : {"ZC702", "KC705-A", "VC707"}) {
+        for (bool noisy : {false, true}) {
+            for (int max_levels = 1; max_levels <= 3; ++max_levels)
+                cases.push_back({platform, noisy, max_levels});
+        }
     }
+    return cases;
 }
 
-TEST(Checkpoint, RejectsGarbage)
+class SliceContinuation : public ::testing::TestWithParam<SliceCase>
 {
-    std::stringstream stream("not a checkpoint at all");
-    auto loaded = loadCheckpoint(stream);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.code(), Errc::badCheckpoint);
-}
-
-TEST(Checkpoint, ResumedSweepEqualsUninterrupted)
-{
-    Board reference_board(fpga::findPlatform("ZC702"));
-    const SweepResult reference =
-        runCriticalSweep(reference_board, fastSweepOptions());
-
-    // First process: measure two levels, then "die". Ship the
-    // checkpoint through its serialized form, as a real resume would.
-    SweepCheckpoint checkpoint;
+  protected:
+    /** A fresh board of the case's platform and environment. */
+    std::unique_ptr<Board>
+    makeBoard() const
     {
-        Board board(fpga::findPlatform("ZC702"));
-        SweepOptions options = fastSweepOptions();
-        options.maxLevels = 2;
-        options.checkpoint = &checkpoint;
-        const SweepResult partial = runCriticalSweep(board, options);
-        EXPECT_TRUE(partial.truncated);
-        EXPECT_EQ(partial.points.size(), 2u);
+        auto board =
+            std::make_unique<Board>(fpga::findPlatform(GetParam().platform));
+        if (GetParam().noisy) {
+            NoiseConfig noise = NoiseConfig::harsh(5, 0.02);
+            noise.spuriousCrashProb = 0.5;
+            board->attachNoise(noise);
+        }
+        return board;
     }
-    std::stringstream stream;
-    saveCheckpoint(checkpoint, stream);
-    auto reloaded = loadCheckpoint(stream);
-    ASSERT_TRUE(reloaded.ok());
-    SweepCheckpoint resumed_checkpoint = reloaded.take();
+};
 
-    // Second process: fresh board, resume, finish the campaign.
-    Board resumed_board(fpga::findPlatform("ZC702"));
-    SweepOptions options = fastSweepOptions();
-    options.checkpoint = &resumed_checkpoint;
-    const SweepResult resumed = runCriticalSweep(resumed_board, options);
-    EXPECT_FALSE(resumed.truncated);
-    EXPECT_EQ(resumed.resilience.checkpointResumes, 1u);
-    EXPECT_FALSE(resumed_checkpoint.valid);
-
-    expectSameSweep(reference, resumed);
-}
-
-TEST(Checkpoint, ResumeUnderNoiseStillMatches)
+TEST_P(SliceContinuation, EqualsUnslicedSweep)
 {
-    Board reference_board(fpga::findPlatform("ZC702"));
-    const SweepResult reference =
-        runCriticalSweep(reference_board, fastSweepOptions());
+    const SliceCase &c = GetParam();
+    const auto whole_board = makeBoard();
+    const SweepResult whole =
+        runCriticalSweep(*whole_board, fastSweepOptions());
+    ASSERT_FALSE(whole.truncated);
 
-    NoiseConfig noise = NoiseConfig::harsh(5, 0.02);
-    noise.spuriousCrashProb = 0.5;
-
-    SweepCheckpoint checkpoint;
-    {
-        Board board(fpga::findPlatform("ZC702"));
-        board.attachNoise(noise);
-        SweepOptions options = fastSweepOptions();
-        options.maxLevels = 3;
-        options.checkpoint = &checkpoint;
-        runCriticalSweep(board, options);
+    // Slice the same campaign on one live board: each call continues
+    // one step below the last measured level.
+    const auto board = makeBoard();
+    SweepOptions options = fastSweepOptions();
+    options.maxLevels = c.maxLevels;
+    SweepResult sliced;
+    std::size_t slices = 0;
+    for (;;) {
+        const SweepResult slice = runCriticalSweep(*board, options);
+        ++slices;
+        EXPECT_LE(slice.points.size(),
+                  static_cast<std::size_t>(c.maxLevels));
+        sliced.points.insert(sliced.points.end(), slice.points.begin(),
+                             slice.points.end());
+        if (!slice.truncated)
+            break;
+        options.fromMv = sliced.points.back().vccBramMv - options.stepMv;
     }
 
-    Board resumed_board(fpga::findPlatform("ZC702"));
-    resumed_board.attachNoise(noise);
-    SweepOptions options = fastSweepOptions();
-    options.checkpoint = &checkpoint;
-    const SweepResult resumed = runCriticalSweep(resumed_board, options);
-
-    expectSameSweep(reference, resumed);
+    expectSameSweep(whole, sliced);
+    for (std::size_t i = 0; i < whole.points.size(); ++i) {
+        EXPECT_DOUBLE_EQ(whole.points[i].bramPowerW,
+                         sliced.points[i].bramPowerW);
+    }
+    const std::size_t budget = static_cast<std::size_t>(c.maxLevels);
+    EXPECT_EQ(slices, (whole.points.size() + budget - 1) / budget);
 }
 
-TEST(Checkpoint, ValidationRejectsWrongBoard)
-{
-    Board board(fpga::findPlatform("ZC702"));
-    SweepCheckpoint checkpoint;
-    SweepOptions options = fastSweepOptions();
-    options.maxLevels = 1;
-    options.checkpoint = &checkpoint;
-    runCriticalSweep(board, options);
-    ASSERT_TRUE(checkpoint.valid);
-
-    Board other(fpga::findPlatform("VC707"));
-    SweepOptions resume = fastSweepOptions();
-    resume.checkpoint = &checkpoint;
-    EXPECT_EXIT(runCriticalSweep(other, resume),
-                ::testing::ExitedWithCode(1), "checkpoint belongs to");
-}
+INSTANTIATE_TEST_SUITE_P(
+    Boards, SliceContinuation,
+    ::testing::ValuesIn(sliceCases()), [](const auto &info) {
+        std::string name = info.param.platform;
+        for (auto &ch : name)
+            if (ch == '-')
+                ch = '_';
+        return name + (info.param.noisy ? "_harsh_" : "_quiet_") +
+               std::to_string(info.param.maxLevels);
+    });
 
 TEST(SweepQueries, MissingLevelReportsAvailableLevels)
 {

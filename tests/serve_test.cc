@@ -3,14 +3,14 @@
  * Tests for the serving layer: the bounded admission queue, the
  * degradation state machine, and the UvoltServer daemon itself —
  * admission control, deadlines, retry-with-backoff, the classify
- * coalescer, checkpointed restart, and the exactly-once accounting
+ * coalescer, restart after stop, and the exactly-once accounting
  * contract under injected fault storms.
  *
  * The central invariants under test mirror the fleet engine's: every
  * admitted request is responded to exactly once (no drops, no
  * duplicates, at any worker count), and a request's *result* is a pure
- * function of its content — injector on or off, retried or not,
- * resumed from a checkpoint or run fresh.
+ * function of its content — injector on or off, retried or not, sliced
+ * or run through, cancelled and sent again or run once.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -106,6 +107,39 @@ forestRequest(std::size_t count, std::uint64_t seed, int setpoint_mv)
                                row.end());
     }
     return request;
+}
+
+/** Enable telemetry for one test; restore and wipe on exit. */
+class TelemetryOn
+{
+  public:
+    TelemetryOn()
+    {
+        was_ = telemetry::Telemetry::enabled();
+        telemetry::Registry::global().resetForTest();
+        telemetry::Telemetry::setEnabled(true);
+    }
+
+    ~TelemetryOn()
+    {
+        telemetry::Telemetry::setEnabled(was_);
+        telemetry::Registry::global().resetForTest();
+    }
+
+  private:
+    bool was_;
+};
+
+/** A counter's value in the global registry (0 when never touched). */
+std::uint64_t
+counterValue(const std::string &name)
+{
+    for (const auto &[counter, value] :
+         telemetry::Registry::global().metrics().counters) {
+        if (counter == name)
+            return value;
+    }
+    return 0;
 }
 
 // --- BoundedQueue --------------------------------------------------------
@@ -500,12 +534,89 @@ TEST(ServeMalformed, MisShapedClassifyPayloadIsRefused)
     int offer = 0;
     refusedAmidGoodTraffic([&offer](UvoltServer &server) {
         ClassifyRequest request = forestRequest(4, 9, 850);
-        if (offer++ % 2 == 0)
-            request.samples.pop_back(); // 4 samples minus one value
-        else
-            request.sampleCount = 0;
+        switch (offer++ % 4) {
+        case 0: request.samples.pop_back(); break; // 4 samples minus one
+        case 1: request.sampleCount = 0; break;
+        case 2:
+            // An empty payload divides into any count: only the cap
+            // keeps the server from sizing buffers from it.
+            request.samples.clear();
+            request.sampleCount = maxSamplesPerRequest + 1;
+            break;
+        default:
+            request.samples.clear();
+            request.sampleCount = std::numeric_limits<std::size_t>::max();
+            break;
+        }
         return server.submitClassify(std::move(request)).code();
     });
+}
+
+TEST(ServeMalformed, WrongWidthClassifyFailsAloneAmidGoodTraffic)
+{
+    // 4 samples' worth of values declared as 2 samples: the payload
+    // divides, so admission takes it, but each row is twice the
+    // model's input width. Only the model can tell.
+    ClassifyRequest wide = forestRequest(4, 9, 850);
+    wide.sampleCount = 2;
+
+    std::vector<std::vector<int>> clean_classes;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const ClassifyRequest good = forestRequest(6, seed, 850);
+        std::vector<std::span<const float>> rows;
+        for (std::size_t i = 0; i < good.sampleCount; ++i)
+            rows.emplace_back(good.samples.data() +
+                                  i * data::forestFeatures,
+                              data::forestFeatures);
+        std::vector<int> classes(good.sampleCount, -1);
+        fixedNet()->classifyScattered(rows, classes);
+        clean_classes.push_back(std::move(classes));
+    }
+
+    ServerConfig config;
+    config.workers = 1;
+    config.modelProvider = fixedProvider();
+    UvoltServer server(std::move(config));
+
+    // Hold the only worker with a characterize so the classify traffic
+    // queues up and coalesces into one group, bad members included.
+    auto busy = server.submitCharacterize(goodCharacterize(50.0)).orFatal();
+    while (server.queueDepth() != 0)
+        std::this_thread::yield();
+    std::vector<std::future<Expected<ClassifyResponse>>> good;
+    std::vector<std::future<Expected<ClassifyResponse>>> bad;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        good.push_back(
+            server.submitClassify(forestRequest(6, seed, 850)).orFatal());
+        bad.push_back(server.submitClassify(wide).orFatal());
+    }
+    ASSERT_TRUE(busy.get().ok());
+
+    bool coalesced = false;
+    for (std::size_t i = 0; i < good.size(); ++i) {
+        auto response = good[i].get();
+        ASSERT_TRUE(response.ok()) << response.error().message;
+        EXPECT_EQ(response.value().classes, clean_classes[i]);
+        coalesced = coalesced || response.value().coalesced;
+    }
+    EXPECT_TRUE(coalesced);
+    for (auto &future : bad) {
+        auto response = future.get();
+        ASSERT_FALSE(response.ok());
+        EXPECT_EQ(response.code(), Errc::invalidRequest);
+        EXPECT_NE(response.error().message.find(
+                      std::to_string(2 * data::forestFeatures) +
+                      " features"),
+                  std::string::npos)
+            << response.error().message;
+    }
+    server.drain();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.admitted, 1u + good.size() + bad.size());
+    EXPECT_EQ(stats.completed, 1u + good.size());
+    EXPECT_EQ(stats.failed, bad.size());
+    EXPECT_EQ(stats.invalid, bad.size());
+    server.stop();
 }
 
 TEST(ServeMalformed, HostileTenantIsRefusedAmidGoodTraffic)
@@ -564,7 +675,6 @@ TEST(ServeDeadline, ExpiredRequestFailsDeadlineExceeded)
 {
     ServerConfig config;
     config.workers = 1;
-    config.checkpointDir = scratchDir("uvolt-serve-deadline");
     UvoltServer server(std::move(config));
 
     CharacterizeRequest request;
@@ -728,17 +838,20 @@ TEST(ServeHealth, ScriptedProfileIsDeterministicAcrossWorkerCounts)
     }
 }
 
-// --- lifecycle: stop, checkpoints, restart -------------------------------
+// --- lifecycle: stop and restart ----------------------------------------
 
-TEST(ServeLifecycle, ResumesFromCheckpointAndMatchesFreshRun)
+TEST(ServeLifecycle, RestartAfterStopNowMatchesTheDirectSweep)
 {
-    const std::string dir = scratchDir("uvolt-serve-resume");
+    if (!telemetry::Telemetry::compiledIn())
+        GTEST_SKIP() << "telemetry compiled out";
+    TelemetryOn guard;
 
+    // The largest admitted run count, so one level takes long enough
+    // for a stop to land between the request's first and last level.
     CharacterizeRequest request;
     request.platform = "ZC702";
-    request.runsPerLevel = 5;
+    request.runsPerLevel = maxRunsPerLevel;
 
-    // The reference: the same campaign run directly, start to finish.
     pmbus::Board board(fpga::findPlatform("ZC702"));
     harness::SweepOptions reference_options;
     reference_options.runsPerLevel = request.runsPerLevel;
@@ -746,48 +859,43 @@ TEST(ServeLifecycle, ResumesFromCheckpointAndMatchesFreshRun)
     auto reference =
         harness::tryRunCriticalSweep(board, reference_options);
     ASSERT_TRUE(reference.ok());
-
-    // "Kill" a server mid-campaign: run two levels with the checkpoint
-    // at exactly the server's path, as a stop(now) at a slice boundary
-    // would leave it.
-    const harness::FleetJob shape{request.platform, request.pattern,
-                                  request.ambientC, std::nullopt};
-    const std::string ckpt_path = dir + "/" + shape.label() + "-r5.ckpt";
-    {
-        pmbus::Board partial_board(fpga::findPlatform("ZC702"));
-        harness::SweepCheckpoint checkpoint;
-        harness::SweepOptions options = reference_options;
-        options.maxLevels = 2;
-        options.checkpoint = &checkpoint;
-        options.checkpointPath = ckpt_path;
-        auto partial =
-            harness::tryRunCriticalSweep(partial_board, options);
-        ASSERT_TRUE(partial.ok());
-        ASSERT_TRUE(partial.value().truncated);
-    }
-    ASSERT_TRUE(std::filesystem::exists(ckpt_path));
+    ASSERT_GT(reference.value().points.size(), 2u);
 
     ServerConfig config;
     config.workers = 1;
-    config.checkpointDir = dir;
-    UvoltServer server(std::move(config));
-    auto future = server.submitCharacterize(request);
-    ASSERT_TRUE(future.ok());
-    auto response = future.value().get();
-    ASSERT_TRUE(response.ok());
-    EXPECT_TRUE(response.value().resumed);
+    config.blackboxDir = "";
+
+    // stop(now) a server once its request has measured a level. Should
+    // the worker outrun the stop and finish, kill a fresh server again.
+    bool killed_mid_campaign = false;
+    for (int tries = 0; tries < 10 && !killed_mid_campaign; ++tries) {
+        telemetry::Registry::global().resetForTest();
+        UvoltServer killed(config);
+        auto cancelled = killed.submitCharacterize(request).orFatal();
+        while (counterValue("sweep.levels") == 0)
+            std::this_thread::yield();
+        killed.stop(StopMode::now);
+        const auto response = cancelled.get();
+        if (!response.ok()) {
+            EXPECT_EQ(response.code(), Errc::serverStopped);
+            killed_mid_campaign = true;
+        }
+    }
+    ASSERT_TRUE(killed_mid_campaign);
+
+    // A new server measures the request again from its first level and
+    // answers the same bits as the direct sweep.
+    UvoltServer restarted(config);
+    auto response = restarted.submitCharacterize(request).orFatal().get();
+    ASSERT_TRUE(response.ok()) << response.error().message;
     expectSameSweep(response.value().sweep, reference.value());
-    // The finished request cleaned up its scratch checkpoint.
-    EXPECT_FALSE(std::filesystem::exists(ckpt_path));
-    server.stop();
+    restarted.stop();
 }
 
 TEST(ServeLifecycle, StopNowAnswersEverythingExactlyOnce)
 {
-    const std::string dir = scratchDir("uvolt-serve-stopnow");
     ServerConfig config;
     config.workers = 2;
-    config.checkpointDir = dir;
     config.modelProvider = fixedProvider();
     UvoltServer server(std::move(config));
 
@@ -900,7 +1008,7 @@ TEST(ServeIdentity, RepeatedRequestsAreIdempotent)
 
     // The same request shape twice, concurrently: seeds derive from the
     // request content, not submission order, so both see the identical
-    // campaign (and take turns on the shared checkpoint label).
+    // campaign, even when two workers run them side by side.
     auto first = server.submitCharacterize(request);
     auto second = server.submitCharacterize(request);
     ASSERT_TRUE(first.ok());
@@ -913,28 +1021,41 @@ TEST(ServeIdentity, RepeatedRequestsAreIdempotent)
     server.stop();
 }
 
-// --- observability -------------------------------------------------------
-
-/** Enable telemetry for one test; restore and wipe on exit. */
-class TelemetryOn
+TEST(ServeIdentity, ResponseResilienceSumsEverySlice)
 {
-  public:
-    TelemetryOn()
-    {
-        was_ = telemetry::Telemetry::enabled();
-        telemetry::Registry::global().resetForTest();
-        telemetry::Telemetry::setEnabled(true);
-    }
+    if (!telemetry::Telemetry::compiledIn())
+        GTEST_SKIP() << "telemetry compiled out";
+    TelemetryOn guard;
 
-    ~TelemetryOn()
-    {
-        telemetry::Telemetry::setEnabled(was_);
-        telemetry::Registry::global().resetForTest();
-    }
+    ServerConfig config;
+    config.workers = 1;
+    config.blackboxDir = "";
+    pmbus::NoiseConfig noise = pmbus::NoiseConfig::harsh(5, 0.02);
+    noise.spuriousCrashProb = 0.5;
+    config.noise = noise;
+    UvoltServer server(std::move(config));
 
-  private:
-    bool was_;
-};
+    CharacterizeRequest request;
+    request.platform = "ZC702";
+    request.runsPerLevel = 11;
+    auto response = server.submitCharacterize(request).orFatal().get();
+    ASSERT_TRUE(response.ok()) << response.error().message;
+    server.stop();
+    // A failed attempt would count recoveries the answer never saw.
+    ASSERT_EQ(response.value().attempts, 1);
+
+    // The request ran as one-level slices; the answer accounts for all
+    // of them, not only the last.
+    const SweepResult &sweep = response.value().sweep;
+    const harness::ResilienceReport &res = sweep.resilience;
+    ASSERT_GT(sweep.points.size(), 1u);
+    EXPECT_GT(res.crashRecoveries, 0u);
+    EXPECT_EQ(res.crashRecoveries, counterValue("sweep.crash_recoveries"));
+    EXPECT_EQ(res.runsRetried, counterValue("sweep.runs_retried"));
+    EXPECT_EQ(res.checkpointResumes, sweep.points.size() - 1);
+}
+
+// --- observability -------------------------------------------------------
 
 /**
  * Every request admitted with telemetry on is one connected, well-

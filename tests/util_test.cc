@@ -425,10 +425,9 @@ TEST(Fsio, FailedWriteKeepsPreviousContentAndReportsCode)
     // The temp slot is a directory: the write cannot land, and the
     // caller's chosen taxonomy code comes back.
     const std::string path = (root / "occupied").string();
-    auto failed =
-        writeFileAtomic(path, "doomed", Errc::badCheckpoint);
+    auto failed = writeFileAtomic(path, "doomed", Errc::corruptCache);
     ASSERT_FALSE(failed.ok());
-    EXPECT_EQ(failed.error().code, Errc::badCheckpoint);
+    EXPECT_EQ(failed.error().code, Errc::corruptCache);
     EXPECT_FALSE(std::filesystem::exists(path));
 }
 
