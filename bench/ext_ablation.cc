@@ -18,8 +18,8 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "accel/accelerator.hh"
 #include "accel/placement.hh"
 #include "accel/weight_image.hh"
@@ -28,7 +28,6 @@
 #include "nn/model_zoo.hh"
 #include "nn/quantizer.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
@@ -43,12 +42,10 @@ struct Shape
 
 } // namespace
 
-int
-main()
+UVOLT_SCENARIO(ext_ablation,
+               "Extension: fault-model shape ablation (Forest on ZC702 at "
+               "Vcrash)")
 {
-    std::printf("# Extension: fault-model shape ablation "
-                "(Forest on ZC702 at Vcrash)\n\n");
-
     const nn::ZooSpec zoo = nn::paperForestSpec();
     const nn::Network net = nn::trainOrLoad(zoo);
     const nn::QuantizedModel model = nn::quantize(net);
@@ -105,7 +102,6 @@ main()
         board.softReset();
     }
     std::printf("inherent error: %.2f%%\n\n", inherent * 100.0);
-    table.print(std::cout);
-    writeCsv(table, "results/ext_ablation.csv");
-    return 0;
+    out.emit(table, "ext_ablation");
+    return true;
 }

@@ -11,21 +11,18 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "accel/perf_model.hh"
 #include "power/dvfs.hh"
 #include "power/power_model.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(ext_dvfs,
+               "Extension: DVFS vs constant-frequency BRAM undervolting "
+               "(Table III design on VC707)")
 {
-    std::printf("# Extension: DVFS vs constant-frequency BRAM "
-                "undervolting (Table III design on VC707)\n\n");
-
     const auto &spec = fpga::findPlatform("VC707");
     const std::vector<int> topology{784, 1024, 512, 256, 128, 10};
 
@@ -60,8 +57,7 @@ main()
     add("BRAM undervolt @Vcrash",
         policy.undervoltPoint(spec.calib.bramVcrashMv / 1000.0));
 
-    table.print(std::cout);
-    writeCsv(table, "results/ext_dvfs.csv");
+    out.emit(table, "ext_dvfs");
 
     const auto dvfs_floor = perf.evaluate(
         policy.dvfsPoint(spec.calib.intVminMv / 1000.0));
@@ -76,5 +72,5 @@ main()
                 (1.0 - uvolt.energyPerInferenceMj /
                            perf.evaluate(policy.undervoltPoint(1.0))
                                .energyPerInferenceMj) * 100.0);
-    return 0;
+    return true;
 }

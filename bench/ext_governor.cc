@@ -12,23 +12,20 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "harness/experiment.hh"
 #include "harness/fvm.hh"
 #include "harness/governor.hh"
 #include "pmbus/board.hh"
 #include "power/power_model.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(ext_governor,
+               "Extension: canary-based online Vmin tracking vs temperature "
+               "(VC707)")
 {
-    std::printf("# Extension: canary-based online Vmin tracking vs "
-                "temperature (VC707)\n\n");
-
     pmbus::Board board(fpga::findPlatform("VC707"));
     harness::SweepOptions options;
     options.runsPerLevel = 5;
@@ -57,13 +54,12 @@ main()
     }
     board.setAmbientC(50.0);
     board.softReset();
-    table.print(std::cout);
-    writeCsv(table, "results/ext_governor.csv");
+    out.emit(table, "ext_governor");
 
     std::printf("\nshape: the tracked setpoint descends with "
                 "temperature (ITD), recovering power a static offline "
                 "Vmin forfeits; the canaries are the chip's weakest "
                 "cells under the worst-case pattern, so canary-clean "
                 "implies payload-clean with margin\n");
-    return 0;
+    return true;
 }

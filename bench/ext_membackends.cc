@@ -10,11 +10,11 @@
  *
  *  (a) a mixed {VC707, HBM2-A, MORS-SRAM-A} x 2-pattern fleet runs
  *      serially, on 1 worker, and on 8 workers; every per-job sweep
- *      must be bit-identical across the three schedules (the exit
- *      code),
+ *      must be bit-identical across the three schedules (the
+ *      scenario fails otherwise),
  *  (b) the per-technology envelope table (Vmin/Vcrash guardband,
- *      faults/Mbit at Vcrash, rail power saving at Vmin) is written to
- *      results/ext_membackends.csv. Every value in the CSV is a pure
+ *      faults/Mbit at Vcrash, rail power saving at Vmin) is emitted as
+ *      ext_membackends.csv. Every value in the CSV is a pure
  *      function of the catalog specs and the seeded fault
  *      personalities — no wall-clock — so CI compares it byte-for-byte
  *      against the committed golden (goldens/ext_membackends.csv).
@@ -22,12 +22,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "harness/campaign.hh"
 #include "mem/catalog.hh"
 #include "util/format.hh"
-#include "util/table.hh"
 #include "util/thread_pool.hh"
 
 using namespace uvolt;
@@ -68,12 +67,9 @@ sameFleet(const harness::FleetResult &a, const harness::FleetResult &b)
 
 } // namespace
 
-int
-main()
+UVOLT_SCENARIO(ext_membackends,
+               "Extension: heterogeneous memory fleet (BRAM + HBM + MoRS-SRAM)")
 {
-    std::printf("# Extension: heterogeneous memory fleet "
-                "(BRAM + HBM + MoRS-SRAM)\n\n");
-
     const harness::Campaign campaign =
         harness::Campaign::onDevices(
             {kFleet[0], kFleet[1], kFleet[2]})
@@ -126,13 +122,10 @@ main()
                       fmtDouble(die.faultsPerMbitAtVcrash, 1),
                       strFormat("{:.2f}x", saving)});
     }
-    table.print(std::cout);
-    writeCsv(table, "results/ext_membackends.csv");
-    std::printf("\nwrote results/ext_membackends.csv (golden: "
-                "goldens/ext_membackends.csv)\n");
+    out.emit(table, "ext_membackends");
 
     std::printf("\nshape: three technologies through one FleetEngine, "
                 "bit-identical at\n0/1/8 workers; the envelope CSV is "
                 "byte-stable and gated as a golden\n");
-    return identical ? 0 : 1;
+    return identical;
 }

@@ -13,8 +13,8 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "accel/accelerator.hh"
 #include "accel/mitigation.hh"
 #include "accel/placement.hh"
@@ -24,16 +24,13 @@
 #include "nn/model_zoo.hh"
 #include "nn/quantizer.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(ext_mitigation,
+               "Extension: ICBP vs temporal voting vs TMR vs SECDED (Forest "
+               "on ZC702 at Vcrash)")
 {
-    std::printf("# Extension: ICBP vs temporal voting vs TMR vs SECDED "
-                "(Forest on ZC702 at Vcrash)\n\n");
-
     const nn::ZooSpec zoo = nn::paperForestSpec();
     const nn::Network net = nn::trainOrLoad(zoo);
     const nn::QuantizedModel model = nn::quantize(net);
@@ -102,12 +99,11 @@ main()
     add("ICBP (all layers)", icbp.observedModel(), icbp_report);
 
     board.softReset();
-    table.print(std::cout);
-    writeCsv(table, "results/ext_mitigation.csv");
+    out.emit(table, "ext_mitigation");
 
     std::printf("\ntakeaway: deterministic faults defeat temporal "
                 "redundancy; TMR/SECDED work but cost %u / %u extra "
                 "BRAMs, ICBP costs none\n",
                 lab.tmrOverheadBrams(), lab.secdedOverheadBrams());
-    return 0;
+    return true;
 }

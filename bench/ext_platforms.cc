@@ -11,21 +11,18 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "harness/experiment.hh"
 #include "harness/temperature.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(ext_platforms,
+               "Extension: undervolting on newer FPGA nodes (projections, not "
+               "measurements)")
 {
-    std::printf("# Extension: undervolting on newer FPGA nodes "
-                "(projections, not measurements)\n\n");
-
     std::vector<const fpga::PlatformSpec *> specs{
         &fpga::findPlatform("VC707")};
     for (const auto &spec : fpga::extensionPlatformCatalog())
@@ -54,11 +51,10 @@ main()
                         fmtDouble(rate, 0),
                         fmtDouble(itd_factor, 2) + "x"});
     }
-    regions.print(std::cout);
-    writeCsv(regions, "results/ext_platforms.csv");
+    out.emit(regions, "ext_platforms");
     std::printf("\nshape: guardbands persist on newer nodes (still "
                 "worth harvesting), while the ITD fault-rate relief "
                 "shrinks toward 1x on 16 nm FinFET — temperature-aware "
                 "undervolting policies are a 28 nm phenomenon\n");
-    return 0;
+    return true;
 }

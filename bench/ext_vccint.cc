@@ -11,21 +11,18 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "accel/logic_faults.hh"
 #include "nn/model_zoo.hh"
 #include "power/power_model.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(ext_vccint,
+               "Extension: NN under VCCINT (datapath) undervolting, VCCBRAM "
+               "nominal")
 {
-    std::printf("# Extension: NN under VCCINT (datapath) undervolting, "
-                "VCCBRAM nominal\n\n");
-
     const auto &spec = fpga::findPlatform("VC707");
     const nn::ZooSpec zoo = nn::paperForestSpec();
     const nn::Network net = nn::trainOrLoad(zoo);
@@ -49,13 +46,12 @@ main()
                       fmtDouble(prob, 6),
                       fmtPercent(error, 2)});
     }
-    table.print(std::cout);
-    writeCsv(table, "results/ext_vccint.csv");
+    out.emit(table, "ext_vccint");
 
     std::printf("\ntakeaway: transient datapath upsets are bipolar and "
                 "unmaskable; accuracy collapses orders of magnitude "
                 "faster per fault than with BRAM storage faults, and "
                 "ICBP-style placement cannot help — scale VCCBRAM "
                 "first, exactly as the paper does\n");
-    return 0;
+    return true;
 }

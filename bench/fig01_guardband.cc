@@ -7,18 +7,16 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "harness/experiment.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(fig01_guardband,
+               "Fig 1: undervolting FPGA components, voltage regions")
 {
-    std::printf("# Fig 1: undervolting FPGA components, voltage regions\n");
     for (auto rail : {fpga::RailId::VccBram, fpga::RailId::VccInt}) {
         std::printf("\n(%s) %s\n",
                     rail == fpga::RailId::VccBram ? "a" : "b",
@@ -36,14 +34,12 @@ main()
                           fmtVolts(regions.vcrashMv / 1000.0),
                           fmtPercent(regions.guardband())});
         }
-        table.print(std::cout);
+        out.emit(table, std::string("fig01_") + railName(rail));
         std::printf("average %s guardband: %.1f%% of nominal "
                     "(paper: %s)\n",
                     railName(rail),
                     guardband_sum / 4.0 * 100.0,
                     rail == fpga::RailId::VccBram ? "39%" : "34%");
-        writeCsv(table, std::string("results/fig01_") + railName(rail) +
-                            ".csv");
     }
-    return 0;
+    return true;
 }

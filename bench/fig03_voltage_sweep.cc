@@ -9,20 +9,17 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "harness/experiment.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(fig03_voltage_sweep,
+               "Fig 3: fault rate and BRAM power vs VCCBRAM (pattern "
+               "16'hFFFF, median of 100 runs, 50 degC)")
 {
-    std::printf("# Fig 3: fault rate and BRAM power vs VCCBRAM "
-                "(pattern 16'hFFFF, median of 100 runs, 50 degC)\n");
-
     const char *panel = "abcd";
     int index = 0;
     double kc705a_rate = 0.0;
@@ -43,8 +40,7 @@ main()
                           fmtPercent(point.bramPowerW /
                                      spec.calib.bramPowerNomW, 1)});
         }
-        table.print(std::cout);
-        writeCsv(table, "results/fig03_" + spec.name + ".csv");
+        out.emit(table, "fig03_" + spec.name);
 
         const double rate = sweep.atVcrash().faultsPerMbit;
         std::printf("at Vcrash: %.0f faults/Mbit (paper: %.0f)\n", rate,
@@ -57,5 +53,5 @@ main()
                         kc705a_rate / rate);
         }
     }
-    return 0;
+    return true;
 }

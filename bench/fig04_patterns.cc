@@ -9,19 +9,17 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "harness/experiment.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(fig04_patterns,
+               "Fig 4: data-pattern impact on the fault rate (VC707, faults "
+               "per Mbit)")
 {
-    std::printf("# Fig 4: data-pattern impact on the fault rate (VC707, "
-                "faults per Mbit)\n\n");
     pmbus::Board board(fpga::findPlatform("VC707"));
 
     const std::vector<harness::PatternSpec> patterns = {
@@ -52,8 +50,7 @@ main()
             row.push_back(fmtDouble(sweep.points[p].faultsPerMbit, 1));
         table.addRow(std::move(row));
     }
-    table.print(std::cout);
-    writeCsv(table, "results/fig04_patterns.csv");
+    out.emit(table, "fig04_patterns");
 
     const double ones = sweeps[0].atVcrash().medianFaults;
     std::printf("\nratios at Vcrash vs 16'hFFFF: AAAA %.2f, 5555 %.2f, "
@@ -63,5 +60,5 @@ main()
                 sweeps[2].atVcrash().medianFaults / ones,
                 sweeps[3].atVcrash().medianFaults / ones,
                 sweeps[4].atVcrash().medianFaults / ones);
-    return 0;
+    return true;
 }

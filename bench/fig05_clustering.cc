@@ -8,22 +8,19 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "harness/clusterer.hh"
 #include "harness/experiment.hh"
 #include "harness/fvm.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(fig05_clustering,
+               "Fig 5: clustering BRAMs into vulnerability classes (VC707 at "
+               "Vcrash = 0.54V)")
 {
-    std::printf("# Fig 5: clustering BRAMs into vulnerability classes "
-                "(VC707 at Vcrash = 0.54V)\n\n");
-
     pmbus::Board board(fpga::findPlatform("VC707"));
     harness::SweepOptions options;
     options.runsPerLevel = 15;
@@ -51,9 +48,8 @@ main()
                       fmtPercent(report.meanRates[index], 3),
                       fmtDouble(report.meanCounts[index], 1)});
     }
-    table.print(std::cout);
-    writeCsv(table, "results/fig05_clustering.csv");
+    out.emit(table, "fig05_clustering");
     std::printf("\npaper: 88.6%% low-vulnerable, avg rate 0.02%% "
                 "(~3.4 faults per BRAM)\n");
-    return 0;
+    return true;
 }

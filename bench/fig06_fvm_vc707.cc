@@ -10,21 +10,17 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "harness/experiment.hh"
 #include "harness/fvm.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(fig06_fvm_vc707,
+               "Fig 6: Fault Variation Map, VC707, Vmin=0.61V -> Vcrash=0.54V")
 {
-    std::printf("# Fig 6: Fault Variation Map, VC707, Vmin=0.61V -> "
-                "Vcrash=0.54V\n\n");
-
     pmbus::Board board(fpga::findPlatform("VC707"));
     harness::SweepOptions options;
     options.runsPerLevel = 9;
@@ -44,6 +40,6 @@ main()
         csv.addRow({std::to_string(site.x), std::to_string(site.y),
                     std::to_string(fvm.faultsOf(b))});
     }
-    writeCsv(csv, "results/fig06_fvm_vc707.csv");
-    return 0;
+    out.emit(csv, "fig06_fvm_vc707");
+    return true;
 }

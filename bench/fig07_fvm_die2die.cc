@@ -9,12 +9,11 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "harness/experiment.hh"
 #include "harness/fvm.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
@@ -34,12 +33,10 @@ mapOf(const char *platform)
 
 } // namespace
 
-int
-main()
+UVOLT_SCENARIO(fig07_fvm_die2die,
+               "Fig 7: FVMs of two identical KC705 samples at Vcrash "
+               "(die-to-die variation)")
 {
-    std::printf("# Fig 7: FVMs of two identical KC705 samples at Vcrash "
-                "(die-to-die variation)\n");
-
     const harness::Fvm map_a = mapOf("KC705-A");
     const harness::Fvm map_b = mapOf("KC705-B");
     const fpga::Floorplan plan = fpga::Floorplan::columnGrid(
@@ -79,7 +76,6 @@ main()
     }
     std::printf("\nhigh-vulnerable on A, clean on B (paper's "
                 "BRAM#(116,1) example class):\n");
-    examples.print(std::cout);
-    writeCsv(examples, "results/fig07_die2die_examples.csv");
-    return 0;
+    out.emit(examples, "fig07_die2die_examples");
+    return true;
 }

@@ -8,19 +8,17 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "harness/temperature.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(fig08_temperature,
+               "Fig 8: fault rate vs voltage vs on-board temperature (faults "
+               "per Mbit)")
 {
-    std::printf("# Fig 8: fault rate vs voltage vs on-board temperature "
-                "(faults per Mbit)\n");
     const std::vector<double> temps{50.0, 60.0, 70.0, 80.0};
 
     harness::TemperatureStudy studies[2];
@@ -43,8 +41,7 @@ main()
                     fmtDouble(series.sweep.points[i].faultsPerMbit, 1));
             table.addRow(std::move(row));
         }
-        table.print(std::cout);
-        writeCsv(table, std::string("results/fig08_") + names[p] + ".csv");
+        out.emit(table, std::string("fig08_") + names[p]);
         std::printf("fault-rate reduction 50 -> 80 degC at Vcrash: "
                     "%.2fx (paper: >3x on VC707)\n",
                     studies[p].reductionFactor(80.0, 50.0));
@@ -58,5 +55,5 @@ main()
                 "%+.1f%% at 80 degC (paper: +156%% -> -11.6%%)\n",
                 (rate(0, 0) / rate(1, 0) - 1.0) * 100.0,
                 (rate(0, 3) / rate(1, 3) - 1.0) * 100.0);
-    return 0;
+    return true;
 }

@@ -8,20 +8,17 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "nn/model_zoo.hh"
 #include "nn/quantizer.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(fig09_precision,
+               "Fig 9: minimum per-layer weight precision (16-bit "
+               "sign-magnitude fixed point)")
 {
-    std::printf("# Fig 9: minimum per-layer weight precision "
-                "(16-bit sign-magnitude fixed point)\n\n");
-
     const nn::ZooSpec spec = nn::paperMnistSpec();
     const nn::Network net = nn::trainOrLoad(spec);
     const nn::QuantizedModel model = nn::quantize(net);
@@ -40,8 +37,7 @@ main()
                       layer.format.describe(),
                       fmtPercent(layer.zeroBitFraction())});
     }
-    table.print(std::cout);
-    writeCsv(table, "results/fig09_precision.csv");
+    out.emit(table, "fig09_precision");
 
     std::printf("\nwhole model: %.1f%% of weight bits are \"0\" "
                 "(paper: 76.3%%); quantization error delta on %zu "
@@ -52,5 +48,5 @@ main()
                     nn::paperEvalLimit) * 100.0);
     std::printf("paper shape: only the last layer needs digit bits "
                 "(4 on the paper's run)\n");
-    return 0;
+    return true;
 }

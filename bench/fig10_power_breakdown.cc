@@ -7,18 +7,15 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "power/power_model.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(fig10_power_breakdown,
+               "Fig 10: on-chip power breakdown of the NN design (VC707)")
 {
-    std::printf("# Fig 10: on-chip power breakdown of the NN design "
-                "(VC707)\n\n");
     const auto &spec = fpga::findPlatform("VC707");
     const auto design = power::OnChipBreakdown::nnDesign(spec);
 
@@ -34,8 +31,7 @@ main()
                       fmtPercent(breakdown.bramShare()),
                       fmtPercent(design.totalSaving(mv / 1000.0))});
     }
-    table.print(std::cout);
-    writeCsv(table, "results/fig10_power_breakdown.csv");
+    out.emit(table, "fig10_power_breakdown");
 
     const power::RailPowerModel rail(spec);
     std::printf("\nBRAM rail: %.1fx reduction at Vmin (paper: more than "
@@ -47,5 +43,5 @@ main()
     std::printf("total on-chip saving at Vmin: %.1f%% (paper: 24.1%%)\n",
                 design.totalSaving(spec.calib.bramVminMv / 1000.0) *
                     100.0);
-    return 0;
+    return true;
 }

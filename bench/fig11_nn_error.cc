@@ -11,26 +11,23 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <memory>
 
+#include "scenario.hh"
 #include "accel/accelerator.hh"
 #include "accel/placement.hh"
 #include "accel/weight_image.hh"
 #include "nn/model_zoo.hh"
 #include "nn/quantizer.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 #include "util/thread_pool.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(fig11_nn_error,
+               "Fig 11: NN classification error vs VCCBRAM (VC707, default "
+               "placement)")
 {
-    std::printf("# Fig 11: NN classification error vs VCCBRAM "
-                "(VC707, default placement)\n\n");
-
     const nn::ZooSpec zoo = nn::paperMnistSpec();
     const nn::Network net = nn::trainOrLoad(zoo);
     const nn::QuantizedModel model = nn::quantize(net);
@@ -97,12 +94,11 @@ main()
                       fmtDouble(ffff_rate, 1)});
     }
     board.softReset();
-    table.print(std::cout);
-    writeCsv(table, "results/fig11_nn_error.csv");
+    out.emit(table, "fig11_nn_error");
 
     std::printf("\npaper shape: error grows with the exponential fault "
                 "rate, 2.56%% -> 6.15%% at Vcrash; weight-filled BRAMs "
                 "fault ~4x less than 0xFFFF (zero-bit share %.1f%%)\n",
                 model.zeroBitFraction() * 100.0);
-    return 0;
+    return true;
 }

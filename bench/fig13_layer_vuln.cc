@@ -9,8 +9,8 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "accel/accelerator.hh"
 #include "accel/placement.hh"
 #include "accel/vulnerability.hh"
@@ -18,16 +18,13 @@
 #include "nn/model_zoo.hh"
 #include "nn/quantizer.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(fig13_layer_vuln,
+               "Fig 13: per-layer size, faults at Vcrash, and normalized "
+               "vulnerability (VC707 / MNIST)")
 {
-    std::printf("# Fig 13: per-layer size, faults at Vcrash, and "
-                "normalized vulnerability (VC707 / MNIST)\n\n");
-
     const nn::ZooSpec zoo = nn::paperMnistSpec();
     const nn::Network net = nn::trainOrLoad(zoo);
     const nn::QuantizedModel model = nn::quantize(net);
@@ -68,8 +65,7 @@ main()
                       fmtDouble(vulnerability[l].normalizedVulnerability,
                                 2)});
     }
-    table.print(std::cout);
-    writeCsv(table, "results/fig13_layer_vuln.csv");
+    out.emit(table, "fig13_layer_vuln");
 
     const double ratio = vulnerability.front().errorDelta > 0.0
         ? vulnerability.back().errorDelta /
@@ -79,5 +75,5 @@ main()
                 "(paper: ~6x); paper shape: inner layers more "
                 "vulnerable, outer layers larger\n",
                 vulnerability.size() - 1, ratio);
-    return 0;
+    return true;
 }

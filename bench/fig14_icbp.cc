@@ -6,15 +6,16 @@
  * placement vs the ICBP-constrained placement, plus the 38.1% BRAM
  * power saving earned by running at Vcrash instead of Vmin.
  *
- * With --ablate, additionally runs the protected-layer-set ablation
+ * The fig14_icbp_ablate scenario adds the protected-layer-set ablation
  * (last layer only, as in the paper, vs last two, vs all layers by
- * descending vulnerability) and the random-placement baseline.
+ * descending vulnerability) and the identity-placement baseline, and
+ * writes its own fig14_ablate_<benchmark>.csv tables.
  */
 
 #include <cstdio>
-#include <iostream>
 #include <string>
 
+#include "scenario.hh"
 #include "accel/accelerator.hh"
 #include "accel/placement.hh"
 #include "accel/weight_image.hh"
@@ -24,7 +25,6 @@
 #include "nn/quantizer.hh"
 #include "power/power_model.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
@@ -39,8 +39,8 @@ struct BenchCase
 };
 
 void
-runCase(const BenchCase &bench, pmbus::Board &board,
-        const harness::Fvm &fvm, bool ablate)
+runCase(scenario::Output &out, const BenchCase &bench,
+        pmbus::Board &board, const harness::Fvm &fvm, bool ablate)
 {
     const nn::Network net = nn::trainOrLoad(bench.zoo);
     const nn::QuantizedModel model = nn::quantize(net);
@@ -104,8 +104,8 @@ runCase(const BenchCase &bench, pmbus::Board &board,
         table.addRow(std::move(row));
     }
     board.softReset();
-    table.print(std::cout);
-    writeCsv(table, "results/fig14_" + bench.zoo.benchmark + ".csv");
+    out.emit(table, (ablate ? "fig14_ablate_" : "fig14_") +
+                        bench.zoo.benchmark);
 
     std::printf("at Vcrash: default %+.2f%% vs inherent, ICBP %+.2f%% "
                 "(paper MNIST: +3.59%% vs +0.6%%)\n",
@@ -113,16 +113,9 @@ runCase(const BenchCase &bench, pmbus::Board &board,
                 (vcrash_errors[1] - inherent) * 100.0);
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+bool
+runFig14(scenario::Output &out, bool ablate)
 {
-    const bool ablate =
-        argc > 1 && std::string(argv[1]) == "--ablate";
-    std::printf("# Fig 14: efficiency of ICBP for MNIST, Forest, and "
-                "Reuters on VC707%s\n", ablate ? " (with ablations)" : "");
-
     // One characterization pass serves all benchmarks (the FVM is a
     // property of the chip, not of the application).
     const auto &spec = fpga::findPlatform("VC707");
@@ -140,12 +133,28 @@ main(int argc, char **argv)
         {"c", nn::paperReutersSpec(), 4000},
     };
     for (const auto &bench : cases)
-        runCase(bench, board, fvm, ablate);
+        runCase(out, bench, board, fvm, ablate);
 
     const power::RailPowerModel rail(spec);
     std::printf("\nBRAM power saving at Vcrash over Vmin: %.1f%% "
                 "(paper: 38.1%%)\n",
                 rail.savingVs(spec.calib.bramVcrashMv / 1000.0,
                               spec.calib.bramVminMv / 1000.0) * 100.0);
-    return 0;
+    return true;
+}
+
+} // namespace
+
+UVOLT_SCENARIO(fig14_icbp,
+               "Fig 14: efficiency of ICBP for MNIST, Forest, and Reuters "
+               "on VC707")
+{
+    return runFig14(out, false);
+}
+
+UVOLT_SCENARIO(fig14_icbp_ablate,
+               "Fig 14 ablation: ICBP protected-layer sets and placement "
+               "baselines on VC707")
+{
+    return runFig14(out, true);
 }

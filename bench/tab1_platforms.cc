@@ -6,17 +6,15 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "fpga/platform.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(tab1_platforms,
+               "Table I: specifications of tested FPGA platforms")
 {
-    std::printf("# Table I: specifications of tested FPGA platforms\n\n");
     TextTable table({"parameter", "VC707", "ZC702", "KC705-A", "KC705-B"});
 
     const auto &catalog = fpga::platformCatalog();
@@ -46,9 +44,8 @@ main()
     row("Total BRAM capacity (Mbit)",
         [](const auto &s) { return fmtDouble(s.totalMbit(), 2); });
 
-    table.print(std::cout);
-    writeCsv(table, "results/tab1_platforms.csv");
+    out.emit(table, "tab1_platforms");
     std::printf("\n(two identical KC705 samples expose die-to-die process"
                 " variation)\n");
-    return 0;
+    return true;
 }

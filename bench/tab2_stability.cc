@@ -8,20 +8,17 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "harness/experiment.hh"
 #include "pmbus/board.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(tab2_stability,
+               "Table II: fault stability over 100 consecutive runs at Vcrash "
+               "(16'hFFFF)")
 {
-    std::printf("# Table II: fault stability over 100 consecutive runs "
-                "at Vcrash (16'hFFFF)\n\n");
-
     TextTable table({"parameter", "VC707", "ZC702", "KC705-A", "KC705-B"});
     std::vector<std::string> avg{"AVERAGE fault rate*"};
     std::vector<std::string> minimum{"MINIMUM fault rate*"};
@@ -51,10 +48,9 @@ main()
     table.addRow(std::move(minimum));
     table.addRow(std::move(maximum));
     table.addRow(std::move(stddev));
-    table.print(std::cout);
-    writeCsv(table, "results/tab2_stability.csv");
+    out.emit(table, "tab2_stability");
     std::printf("* per 1 Mbit. paper row: avg 652/153/254/60, "
                 "min 630/140/237/51, max 669/162/264/69, "
                 "stddev 7.3/5.9/4.8/1.8\n");
-    return 0;
+    return true;
 }

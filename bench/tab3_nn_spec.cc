@@ -5,20 +5,17 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
+#include "scenario.hh"
 #include "accel/weight_image.hh"
 #include "nn/model_zoo.hh"
 #include "nn/quantizer.hh"
-#include "util/table.hh"
 
 using namespace uvolt;
 
-int
-main()
+UVOLT_SCENARIO(tab3_nn_spec,
+               "Table III: detailed specification of the baseline NN")
 {
-    std::printf("# Table III: detailed specification of the baseline "
-                "NN\n\n");
     const nn::ZooSpec spec = nn::paperMnistSpec();
     const nn::Network net = nn::trainOrLoad(spec);
     const nn::QuantizedModel model = nn::quantize(net);
@@ -51,10 +48,9 @@ main()
                   std::to_string(image.logicalBramCount())});
     table.addRow({"BRAM usage (of 2060)",
                   fmtPercent(image.utilizationOf(2060))});
-    table.print(std::cout);
-    writeCsv(table, "results/tab3_nn_spec.csv");
+    out.emit(table, "tab3_nn_spec");
     std::printf("\npaper anchors: ~1.5M weights, BRAM usage 70.8%%, "
                 "last layer = 2 BRAMs (here: %u)\n",
                 image.layerSpans().back().bramCount);
-    return 0;
+    return true;
 }

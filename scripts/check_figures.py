@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Golden-results drift check for the paper-figure CSVs.
+"""Golden-results drift check for the scenario CSVs.
 
 Usage:
     scripts/check_figures.py [--goldens goldens] [--results results] \
         [--rel-tolerance 1e-9] [--abs-tolerance 1e-9] \
         [--column-tolerance COLUMN=REL ...]
 
-Every fig*.csv / tab*.csv under --goldens is diffed cell-by-cell
-against the same file under --results (freshly regenerated by the
-bench binaries). Numeric cells compare within a relative OR absolute
-tolerance — the simulator is seeded and deterministic, so the default
-tolerances are tight; columns that legitimately wobble (wall-clock
-timings) can be loosened per column name with --column-tolerance.
+Every *.csv under --goldens (the paper's figures and tables, and the
+ext_membackends envelope table) is diffed cell-by-cell against the
+same file under --results (freshly regenerated by build/bench/uvolt).
+Numeric cells compare within a relative OR absolute tolerance — the
+simulator is seeded and deterministic, so the default tolerances are
+tight; columns that legitimately wobble (wall-clock timings) can be
+loosened per column name with --column-tolerance.
 Non-numeric cells must match exactly. Mismatches are reported with
 file:line context and the gate exits 1; a golden whose fresh
-counterpart is missing is an error too (run the figure benches first).
+counterpart is missing is an error too (run build/bench/uvolt first).
 """
 
 import argparse
@@ -95,11 +96,9 @@ def main():
             sys.exit(f"error: malformed --column-tolerance {item!r}")
         column_tolerance[name] = float(rel)
 
-    goldens = sorted(
-        glob.glob(os.path.join(args.goldens, "fig*.csv")) +
-        glob.glob(os.path.join(args.goldens, "tab*.csv")))
+    goldens = sorted(glob.glob(os.path.join(args.goldens, "*.csv")))
     if not goldens:
-        sys.exit(f"error: no fig*/tab* goldens under '{args.goldens}'")
+        sys.exit(f"error: no *.csv goldens under '{args.goldens}'")
 
     mismatches = 0
     checked = 0
@@ -107,8 +106,8 @@ def main():
         name = os.path.basename(golden_path)
         fresh_path = os.path.join(args.results, name)
         if not os.path.exists(fresh_path):
-            print(f"{fresh_path}: MISSING (regenerate with the figure "
-                  f"benches)", file=sys.stderr)
+            print(f"{fresh_path}: MISSING (regenerate with "
+                  f"build/bench/uvolt)", file=sys.stderr)
             mismatches += 1
             continue
         with open(golden_path, encoding="utf-8") as handle:
@@ -148,7 +147,7 @@ def main():
         print(f"{mismatches} file(s) drifted from the goldens",
               file=sys.stderr)
         return 1
-    print(f"all {checked} golden figure file(s) match")
+    print(f"all {checked} golden file(s) match")
     return 0
 
 

@@ -33,7 +33,7 @@ echo "== fatal() ratchet: call sites in src/ may only go down =="
 # a file or a frame can carry gets a typed Errc instead. The committed
 # count may only be lowered: a change that removes call sites lowers it
 # here, one that adds a site fails this leg.
-fatal_max=157
+fatal_max=154
 fatal_now=$(grep -rnE '(^|[^A-Za-z_])fatal\(' src |
     grep -cvE '^[^:]+:[0-9]+:[[:space:]]*(//|\*|/\*)' || true)
 echo "fatal( call sites in src/: $fatal_now (ratchet $fatal_max)"
@@ -238,30 +238,15 @@ print(f"sampler overhead: req-cost {off/1e6:.3f} ms -> {on/1e6:.3f} ms "
 sys.exit(0 if ratio <= 1.03 else 1)
 EOF
 
-echo "== memory-backend fleet gate (ext_membackends) =="
-# Drives one mixed BRAM+HBM+SRAM fleet through the FleetEngine serially
-# and at 1 and 8 workers — the binary exits non-zero if any pair of
-# runs diverges — then pins the per-technology envelope table (Vmin,
-# Vcrash, guardband, faults/Mbit, power saving) to its committed golden.
-./build/bench/ext_membackends > /dev/null
-cmp results/ext_membackends.csv goldens/ext_membackends.csv
-echo "mixed-technology fleet bit-identical; envelope CSV matches golden"
-
-echo "== golden figures byte-identity (all 22 fig/tab CSVs) =="
-# Regenerate every paper figure/table CSV from scratch and require each
-# to be byte-identical to its committed golden. The figure benches are
-# deterministic (seeded RNG, shared model cache), so any diff is a real
-# behaviour change — this is the executable proof that the BRAM path
-# survives refactors bit-for-bit.
-export UVOLT_CACHE_DIR="$PWD/uvolt_model_cache"
-for fig in fig01_guardband tab1_platforms fig03_voltage_sweep \
-        fig04_patterns tab2_stability fig05_clustering fig06_fvm_vc707 \
-        fig07_fvm_die2die fig08_temperature fig09_precision tab3_nn_spec \
-        fig10_power_breakdown fig11_nn_error fig13_layer_vuln \
-        fig14_icbp; do
-    ./build/bench/"$fig" > /dev/null
-done
-unset UVOLT_CACHE_DIR
+echo "== golden scenarios (all 23 goldens) =="
+# Run every scenario of the uvolt driver once and require each CSV with
+# a committed golden to match it. The scenarios are deterministic
+# (seeded RNG, shared model cache), so any diff is a real behaviour
+# change — this is the executable proof that the BRAM path survives
+# refactors bit-for-bit. uvolt exits nonzero if a scenario fails its
+# own check: ext_membackends requires its mixed BRAM+HBM+SRAM fleet to
+# be bit-identical serially and at 1 and 8 workers.
+UVOLT_CACHE_DIR="$PWD/uvolt_model_cache" ./build/bench/uvolt > /dev/null
 python3 scripts/check_figures.py
 
 echo "== batched-evaluation identity check (fig11) =="
@@ -277,15 +262,16 @@ echo "== batched-evaluation identity check (fig11) =="
 identity_dir="$(mktemp -d)"
 trap 'rm -rf "$identity_dir"' EXIT
 export UVOLT_CACHE_DIR="$PWD/uvolt_model_cache"
-(cd "$identity_dir" && mkdir -p results &&
+uvolt="$PWD/build/bench/uvolt"
+(cd "$identity_dir" &&
     UVOLT_BATCH=1 UVOLT_EVAL_LIMIT=400 \
-        "$OLDPWD/build/bench/fig11_nn_error" > /dev/null &&
+        "$uvolt" fig11_nn_error > /dev/null &&
     mv results/fig11_nn_error.csv fig11_batch1.csv &&
     UVOLT_BATCH=13 UVOLT_EVAL_LIMIT=400 \
-        "$OLDPWD/build/bench/fig11_nn_error" > /dev/null &&
+        "$uvolt" fig11_nn_error > /dev/null &&
     cmp results/fig11_nn_error.csv fig11_batch1.csv &&
     UVOLT_BATCH=64 UVOLT_EVAL_LIMIT=400 UVOLT_EVAL_WORKERS=4 \
-        "$OLDPWD/build/bench/fig11_nn_error" > /dev/null &&
+        "$uvolt" fig11_nn_error > /dev/null &&
     cmp results/fig11_nn_error.csv fig11_batch1.csv)
 unset UVOLT_CACHE_DIR
 echo "fig11 CSV byte-identical at batch 1, 13 and 64 + 4 workers"

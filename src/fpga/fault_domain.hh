@@ -158,13 +158,6 @@ struct FaultDomain
     /** Set bits in the domain (e.g. stored "1" density). */
     std::uint64_t ones() const { return popcountWords(words); }
 
-    /** Faulty bits against an observed readback of the same domain. */
-    std::uint64_t
-    faultsAgainst(WordSpan observed) const
-    {
-        return diffPopcount(words, observed);
-    }
-
     /**
      * Visit faults against an observed readback as BitAddress + written
      * polarity, in the legacy row-major column-ascending order.

@@ -105,13 +105,6 @@ Campaign::discoverRegions(bool discover)
 }
 
 Campaign &
-Campaign::recovery(const RecoveryPolicy &policy)
-{
-    recovery_ = policy;
-    return *this;
-}
-
-Campaign &
 Campaign::cacheInto(FvmCache &cache)
 {
     options_.fvmCache = &cache;
@@ -122,16 +115,6 @@ Campaign &
 Campaign::ledgerUnder(std::string directory)
 {
     options_.ledgerDir = std::move(directory);
-    return *this;
-}
-
-Campaign &
-Campaign::retries(int max_attempts_per_job)
-{
-    if (max_attempts_per_job < 1)
-        fatal("Campaign::retries() needs at least one attempt, got {}",
-              max_attempts_per_job);
-    options_.maxAttemptsPerJob = max_attempts_per_job;
     return *this;
 }
 
@@ -153,7 +136,6 @@ Campaign::plan() const
     plan.runsPerLevel = runsPerLevel_;
     plan.stepMv = stepMv_;
     plan.collectPerBram = collectPerBram_;
-    plan.recovery = recovery_;
     plan.discoverRegions = discoverRegions_;
     return plan;
 }

@@ -20,9 +20,9 @@
  * catalog), HBM stacks (mem::hbmCatalog), and MoRS-SRAM chips
  * (mem::sramCatalog) are all valid `onPlatforms` entries. Non-BRAM
  * jobs run the backend sweep (mem::runMemSweep) instead of the board
- * path; noise injection and region discovery are BRAM-only and
- * fatal() if requested on a mixed fleet that includes other
- * technologies.
+ * path; noise injection and region discovery are BRAM-only, and a
+ * run that asks for either on an HBM/SRAM job fails with
+ * Errc::invalidRequest.
  */
 
 #ifndef UVOLT_HARNESS_CAMPAIGN_HH
@@ -81,9 +81,6 @@ class Campaign
     /** Also locate the Fig-1 voltage regions of both rails per job. */
     Campaign &discoverRegions(bool discover = true);
 
-    /** Watchdog crash-recovery budget per measurement run. */
-    Campaign &recovery(const RecoveryPolicy &policy);
-
     /** Publish each die's merged FVM into this cache. */
     Campaign &cacheInto(FvmCache &cache);
 
@@ -94,9 +91,6 @@ class Campaign
      * that run thousands of tiny campaigns (benchmarks) want that.
      */
     Campaign &ledgerUnder(std::string directory);
-
-    /** Engine-level attempts per job (default 3). */
-    Campaign &retries(int max_attempts_per_job);
 
     /** The plan this builder describes (for inspection or hand tuning). */
     FleetPlan plan() const;
@@ -118,7 +112,6 @@ class Campaign
     int stepMv_ = 10;
     bool collectPerBram_ = true;
     bool discoverRegions_ = false;
-    RecoveryPolicy recovery_;
     FleetOptions options_;
 };
 

@@ -332,16 +332,6 @@ FvmCache::obtain(const fpga::PlatformSpec &spec,
 }
 
 Expected<void>
-FvmCache::store(const fpga::PlatformSpec &spec, const PatternSpec &pattern,
-                int runs_per_level, const Fvm &fvm)
-{
-    return storeKeyed(keyFor(spec, pattern, runs_per_level),
-                      fpga::Floorplan::columnGrid(spec.bramCount,
-                                                  spec.columnHeight),
-                      fvm);
-}
-
-Expected<void>
 FvmCache::storeKeyed(const std::string &key,
                      const fpga::Floorplan &floorplan, const Fvm &fvm)
 {

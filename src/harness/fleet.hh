@@ -217,17 +217,10 @@ class FvmCache
            int runs_per_level, const Characterize &characterize);
 
     /**
-     * Publish an already-measured map (fleet engines feed the cache as
-     * a side effect of their sweeps). Overwrites memory + disk.
-     */
-    Expected<void> store(const fpga::PlatformSpec &spec,
-                         const PatternSpec &pattern, int runs_per_level,
-                         const Fvm &fvm);
-
-    /**
-     * Generic publication path store() delegates to: key and floorplan
-     * supplied by the caller, so any MemoryDevice backend can publish
-     * its per-domain map.
+     * Publish an already-measured map under @a key (fleet engines and
+     * the server feed the cache as a side effect of their sweeps); the
+     * caller supplies the floorplan, so any MemoryDevice backend can
+     * publish its per-domain map. Overwrites memory + disk.
      */
     Expected<void> storeKeyed(const std::string &key,
                               const fpga::Floorplan &floorplan,

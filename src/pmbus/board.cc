@@ -80,7 +80,7 @@ Board::Board(const fpga::PlatformSpec &spec,
 Board::Board(const fpga::PlatformSpec &spec,
              std::shared_ptr<const vmodel::ChipFaultModel> model)
     : device_(spec), faults_(std::move(model)),
-      regulator_([this] { return effectiveAmbientC(); }),
+      regulator_([this] { return ambientC_; }),
       runRng_(combineSeeds(hashSeed(spec.serialNumber),
                            hashSeed("run-jitter")))
 {
@@ -182,12 +182,6 @@ Board::vccBramMv() const
     return device_.rail(fpga::RailId::VccBram).millivolts();
 }
 
-double
-Board::effectiveAmbientC() const
-{
-    return ambientC_ + (injector_ ? injector_->tempDriftC() : 0.0);
-}
-
 Expected<void>
 Board::trySoftReset()
 {
@@ -232,8 +226,6 @@ void
 Board::startRun()
 {
     runJitterV_ = runRng_.gaussian(0.0, spec().calib.runJitterMv / 1000.0);
-    if (injector_)
-        injector_->nextTempDriftC();
     armCrashSchedule();
 }
 
@@ -264,7 +256,7 @@ double
 Board::effectiveVoltage() const
 {
     return faults_->effectiveVoltage(vccBramMv() / 1000.0,
-                                     effectiveAmbientC(), runJitterV_);
+                                     ambientC_, runJitterV_);
 }
 
 Expected<std::vector<std::uint64_t>>
@@ -323,19 +315,6 @@ Board::tryCountBramFaults(std::uint32_t bram) const
     }
     return faults_->countBramFaults(device_.bram(bram), bram,
                                     effectiveVoltage());
-}
-
-int
-Board::countBramFaults(std::uint32_t bram) const
-{
-    auto result = tryCountBramFaults(bram);
-    if (!result.ok()) {
-        if (result.code() == Errc::crashDetected)
-            fatal("{}: readback attempted below Vcrash (DONE pin low)",
-                  spec().name);
-        fatal("{}", result.error().message);
-    }
-    return result.value();
 }
 
 Expected<std::uint64_t>

@@ -9,10 +9,10 @@
  *
  * The board can operate in a harsh environment (attachNoise()): serial
  * frames corrupt, PMBus transactions NACK, latched setpoints jitter,
- * the configuration crashes spuriously in a band above Vcrash, and the
- * ambient drifts. The instrumentation path then defends itself with
- * CRC-verified retransmission, verify-after-write setpoint retries, and
- * a recoverable-error measurement path (try* methods) that campaign
+ * and the configuration crashes spuriously in a band above Vcrash. The
+ * instrumentation path then defends itself with CRC-verified
+ * retransmission, verify-after-write setpoint retries, and a
+ * recoverable-error measurement path (try* methods) that campaign
  * engines use to soft-reset and resume instead of dying.
  */
 
@@ -124,9 +124,6 @@ class Board
     void setAmbientC(double temp_c) { ambientC_ = temp_c; }
     double ambientC() const { return ambientC_; }
 
-    /** Commanded ambient plus any harsh-environment drift. */
-    double effectiveAmbientC() const;
-
     /** DONE pin: high while the configuration is alive (not crashed). */
     bool donePin() const { return device_.operational() && !forcedCrash_; }
 
@@ -197,12 +194,9 @@ class Board
 
     /**
      * Count faults in one BRAM against its written contents without
-     * the serial transfer (fast path for large sweeps; bit-identical
-     * outcome to diffing readBramToHost()).
+     * the serial transfer (bit-identical outcome to diffing
+     * readBramToHost()); crashDetected as tryReadBramToHost().
      */
-    int countBramFaults(std::uint32_t bram) const;
-
-    /** Recoverable fault count; crashDetected as tryReadBramToHost(). */
     Expected<int> tryCountBramFaults(std::uint32_t bram) const;
 
     /**

@@ -80,8 +80,6 @@ class Ucd9248
     /** Direct page inspection for tests. */
     const RegulatorPage &pageInfo(int index) const;
 
-    std::size_t pageCount() const { return pages_.size(); }
-
   private:
     RegulatorPage &currentPage();
     const RegulatorPage &currentPage() const;

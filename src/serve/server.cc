@@ -21,6 +21,8 @@ namespace uvolt::serve
 namespace
 {
 
+constexpr double backoffMaxMs = 50.0; ///< cap of the exponential part
+
 /**
  * Latency bucket ladder reaching @a ceiling_ms. The old fixed ladder
  * topped out at 5000 ms, which a long characterize (full sweep, high
@@ -173,7 +175,6 @@ UvoltServer::UvoltServer(ServerConfig config)
     if (config_.workers == 0)
         fatal("UvoltServer needs at least one worker");
     config_.maxAttempts = std::max(1, config_.maxAttempts);
-    config_.sliceLevels = std::max(1, config_.sliceLevels);
     workers_.reserve(config_.workers);
     for (std::size_t i = 0; i < config_.workers; ++i) {
         workers_.emplace_back(
@@ -759,11 +760,11 @@ UvoltServer::characterizeOnce(const CharacterizeRequest &request,
 {
     const int step_mv = pmbus::voutStepMv;
 
-    // One slice measures at most sliceLevels levels, starting at
-    // from_mv (0 = the device's first level), on one live device: the
-    // BRAM board's run-jitter stream and injector carry over from slice
-    // to slice, and the HBM/SRAM jitter is stateless, so the slices
-    // concatenate to the unsliced sweep bit for bit.
+    // One slice measures one level, starting at from_mv (0 = the
+    // device's first level), on one live device: the BRAM board's
+    // run-jitter stream and injector carry over from slice to slice,
+    // and the HBM/SRAM jitter is stateless, so the slices concatenate
+    // to the unsliced sweep bit for bit.
     std::function<Expected<harness::SweepResult>(int)> run_slice;
     std::optional<pmbus::Board> board;
     std::unique_ptr<mem::MemoryDevice> device;
@@ -791,8 +792,7 @@ UvoltServer::characterizeOnce(const CharacterizeRequest &request,
             slice.stepMv = step_mv;
             slice.fromMv = from_mv;
             slice.collectPerBram = true;
-            slice.recovery = config_.recovery;
-            slice.maxLevels = config_.sliceLevels;
+            slice.maxLevels = 1;
             return harness::tryRunCriticalSweep(*board, slice);
         };
     } else {
@@ -807,7 +807,7 @@ UvoltServer::characterizeOnce(const CharacterizeRequest &request,
             slice.seed = request_seed;
             if (from_mv > 0)
                 slice.fromMv = from_mv;
-            slice.maxLevels = config_.sliceLevels;
+            slice.maxLevels = 1;
             return harness::sweepFromMem(mem::runMemSweep(*device, slice),
                                          request.pattern);
         };
@@ -1147,7 +1147,7 @@ UvoltServer::backoff(int attempt, std::uint64_t request_seed)
             ? rng.uniform(0.0, config_.backoffJitterMs)
             : 0.0;
     const double delay_ms =
-        std::min(config_.backoffMaxMs, exponential) + jitter;
+        std::min(backoffMaxMs, exponential) + jitter;
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(delay_ms));
     return !stopRequested();

@@ -147,12 +147,10 @@ struct ServerConfig
     std::size_t workers = 2;        ///< serving threads (>= 1)
 
     int maxAttempts = 3;        ///< tries per request on transient faults
-    double backoffBaseMs = 1.0; ///< first retry delay (doubles per try)
+    double backoffBaseMs = 1.0; ///< first retry delay; doubles, to 50 ms
     double backoffJitterMs = 1.0; ///< uniform seeded jitter on top
-    double backoffMaxMs = 50.0;   ///< delay cap
 
     int coalesceBatch = 0; ///< classify block width; 0 = defaultEvalBatch
-    int sliceLevels = 1;   ///< sweep levels between deadline checks
 
     /** Cross-tenant FVM cache; successful characterizations publish
      *  into it (nullptr = no publication). */
@@ -162,8 +160,6 @@ struct ServerConfig
      *  injector); reseeded per request + attempt. BRAM-only: a noisy
      *  server refuses HBM/SRAM characterize requests at admission. */
     std::optional<pmbus::NoiseConfig> noise;
-
-    harness::RecoveryPolicy recovery; ///< per-run watchdog budget
 
     HealthConfig health; ///< degradation state machine knobs
 

@@ -2,9 +2,10 @@
  * @file
  * Plain-text table and CSV emission.
  *
- * Every bench binary regenerates one of the paper's tables or figures;
- * TextTable renders the human-readable view and writeCsv() the
- * machine-readable series (one file per figure, for external plotting).
+ * Every scenario of the `uvolt` driver regenerates one of the paper's
+ * tables or figures; TextTable renders the human-readable view and
+ * writeCsv() the machine-readable series (one file per table, for
+ * external plotting).
  */
 
 #ifndef UVOLT_UTIL_TABLE_HH
@@ -52,8 +53,8 @@ std::string fmtPercent(double fraction, int decimals = 1);
 
 /**
  * Write a table to a CSV file under the given path, creating parent
- * directories as needed. Returns false (with a warning) on I/O failure
- * so benches can keep running in read-only environments.
+ * directories as needed. Returns false (with a warning) on I/O
+ * failure; the caller decides whether that fails its run.
  */
 bool writeCsv(const TextTable &table, const std::string &path);
 
